@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "common/event_log.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "sim/exp_runner.h"
@@ -31,12 +30,8 @@ namespace spt {
 namespace bench {
 
 /** Common bench CLI: "--jobs N" (or SPT_JOBS), "--out PATH" for the
- *  JSON artifact, "--cache DIR" / "--cache-mode MODE" for the
- *  on-disk result cache, "--service SOCK" to route the sweep to a
- *  running spt_sweepd, "--poll-ms MS" for a fixed service
- *  status-poll cadence (default: adaptive 2->100 ms doubling), and
- *  "--event-log FILE" for the structured JSONL telemetry stream
- *  (DESIGN.md §15). Unknown arguments are fatal. */
+ *  JSON artifact, and "--cache DIR" / "--cache-mode MODE" for the
+ *  on-disk result cache. Unknown arguments are fatal. */
 struct BenchOptions {
     unsigned jobs = 1;
     std::string out_path;
@@ -48,10 +43,10 @@ parseBenchArgs(int argc, char **argv, const char *default_out)
     BenchOptions opt;
     opt.jobs = jobsFromArgs(argc, argv);
     opt.out_path = default_out;
-    // The cache/service flags resolve through the environment: the
-    // runner reads SPT_CACHE_DIR / SPT_CACHE_MODE / SPT_SWEEP_SOCKET
-    // itself, so every driver (and every ExpRunner a driver
-    // constructs) picks them up with no per-driver plumbing.
+    // The cache flags resolve through the environment: the runner
+    // reads SPT_CACHE_DIR / SPT_CACHE_MODE itself, so every bench
+    // (and every ExpRunner one constructs) picks them up with no
+    // per-bench plumbing.
     const auto set_env = [](const char *name,
                             const std::string &value) {
         setenv(name, value.c_str(), /*overwrite=*/1);
@@ -79,24 +74,10 @@ parseBenchArgs(int argc, char **argv, const char *default_out)
             set_env("SPT_CACHE_MODE", value_of("--cache-mode"));
         } else if (arg.rfind("--cache-mode=", 0) == 0) {
             set_env("SPT_CACHE_MODE", arg.substr(13));
-        } else if (arg == "--service") {
-            set_env("SPT_SWEEP_SOCKET", value_of("--service"));
-        } else if (arg.rfind("--service=", 0) == 0) {
-            set_env("SPT_SWEEP_SOCKET", arg.substr(10));
-        } else if (arg == "--poll-ms") {
-            set_env("SPT_SWEEP_POLL_MS", value_of("--poll-ms"));
-        } else if (arg.rfind("--poll-ms=", 0) == 0) {
-            set_env("SPT_SWEEP_POLL_MS", arg.substr(10));
-        } else if (arg == "--event-log") {
-            EventLog::global().openFile(value_of("--event-log"));
-        } else if (arg.rfind("--event-log=", 0) == 0) {
-            EventLog::global().openFile(arg.substr(12));
         } else {
             SPT_FATAL("unknown argument " << arg
                       << " (expected --jobs N / --out PATH / "
-                         "--cache DIR / --cache-mode MODE / "
-                         "--service SOCK / --poll-ms MS / "
-                         "--event-log FILE)");
+                         "--cache DIR / --cache-mode MODE)");
         }
     }
     return opt;
@@ -112,28 +93,12 @@ reportSweep(const ExpRunner &runner)
 {
     const SweepStats &s = runner.lastSweep();
     char line[256];
-    if (s.via_service) {
-        // The service-specific tail answers "where did the wall
-        // time go": cumulative client-side poll wait vs the
-        // daemon's execution wall. Stderr only — host timing.
-        snprintf(line, sizeof line,
-                 "[sweep] %u worker(s), %llu unique job(s), "
-                 "%llu memo hit(s), %.2fs wall (via sweep "
-                 "service, %.2fs polling in %llu poll(s))",
-                 s.workers,
-                 static_cast<unsigned long long>(s.unique_jobs),
-                 static_cast<unsigned long long>(s.memo_hits),
-                 s.wall_seconds, s.poll_wait_seconds,
-                 static_cast<unsigned long long>(s.polls));
-    } else {
-        snprintf(line, sizeof line,
-                 "[sweep] %u worker(s), %llu unique job(s), "
-                 "%llu memo hit(s), %.2fs wall",
-                 s.workers,
-                 static_cast<unsigned long long>(s.unique_jobs),
-                 static_cast<unsigned long long>(s.memo_hits),
-                 s.wall_seconds);
-    }
+    snprintf(line, sizeof line,
+             "[sweep] %u worker(s), %llu unique job(s), "
+             "%llu memo hit(s), %.2fs wall",
+             s.workers, static_cast<unsigned long long>(s.unique_jobs),
+             static_cast<unsigned long long>(s.memo_hits),
+             s.wall_seconds);
     report(line);
     if (s.cache_mode != "off") {
         snprintf(line, sizeof line,

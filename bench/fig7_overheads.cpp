@@ -7,9 +7,10 @@
  * (average SPT overhead, SPT-vs-SecureBaseline reduction factor,
  * the constant-time-kernel subset, and SPT-vs-STT deltas).
  *
- * The whole (model x workload x config) grid runs on the parallel
- * experiment runner; stdout and the JSON artifact are byte-identical
- * for any --jobs value.
+ * The whole (model x workload x config) grid and the knowledge-map
+ * relaxation grid run as one sweep on the parallel experiment
+ * runner; stdout and the JSON artifact are byte-identical for any
+ * --jobs value.
  *
  * Usage: fig7_overheads [--jobs N] [--out BENCH_fig7.json]
  * Set SPT_BENCH_QUICK=1 to run a 5-workload subset (CI smoke).
@@ -69,12 +70,62 @@ main(int argc, char **argv)
         }
     }
 
+    // --- Knowledge-map relaxation (DESIGN.md §13) -------------------
+    // Per-workload maps are compiled in-process from the same
+    // fixpoint `spt_lint --emit-knowledge-map` serializes; the deque
+    // keeps their addresses stable for the whole sweep.
+    std::deque<KnowledgeMap> maps;
+    std::vector<const KnowledgeMap *> map_of(names.size());
+    for (size_t wi = 0; wi < names.size(); ++wi) {
+        const Workload &w = workloadByName(names[wi]);
+        const Cfg cfg(w.program);
+        const KnowledgeAnalysis analysis(cfg);
+        maps.push_back(emitKnowledgeMap(analysis));
+        map_of[wi] = &maps.back();
+    }
+    struct RelaxedCfg {
+        const char *name;
+        unsigned width;
+        bool with_map;
+    };
+    const RelaxedCfg rconfigs[] = {
+        {"w3", 3, false},
+        {"w3+KMap", 3, true},
+        {"w1", 1, false},
+        {"w1+KMap", 1, true},
+    };
+    const size_t rn = std::size(rconfigs);
+    const size_t rbase = grid.size();
+    for (const AttackModel model : models) {
+        for (size_t wi = 0; wi < names.size(); ++wi) {
+            const Workload &w = workloadByName(names[wi]);
+            for (const RelaxedCfg &rc : rconfigs) {
+                RunJob job;
+                job.program = &w.program;
+                job.engine.scheme = ProtectionScheme::kSpt;
+                job.engine.spt.method = UntaintMethod::kBackward;
+                job.engine.spt.shadow = ShadowKind::kShadowL1;
+                job.engine.spt.broadcast_width = rc.width;
+                job.engine.spt.knowledge_map =
+                    rc.with_map ? map_of[wi] : nullptr;
+                job.attack_model = model;
+                grid.push_back(job);
+            }
+        }
+    }
+
+    // Both grids run as one sweep, so the relaxed grid's w3 cells —
+    // the main grid's SPT{Bwd,ShadowL1} job again — are memo hits.
     ExpRunner runner(opt.jobs);
     const std::vector<RunOutcome> outcomes = runner.run(grid);
     reportSweep(runner);
     auto at = [&](size_t mi, size_t wi, size_t ci) -> const RunOutcome & {
         return outcomes[(mi * names.size() + wi) * configs.size() +
                         ci];
+    };
+    auto rat = [&](size_t mi, size_t wi, size_t ci)
+        -> const RunOutcome & {
+        return outcomes[rbase + (mi * names.size() + wi) * rn + ci];
     };
 
     auto config_index = [&](const char *n) {
@@ -218,56 +269,6 @@ main(int argc, char **argv)
     }
     json.endArray();
 
-    // --- Knowledge-map relaxation (DESIGN.md §13) -------------------
-    // Per-workload maps are compiled in-process from the same
-    // fixpoint `spt_lint --emit-knowledge-map` serializes; the deque
-    // keeps their addresses stable for the whole sweep.
-    std::deque<KnowledgeMap> maps;
-    std::vector<const KnowledgeMap *> map_of(names.size());
-    for (size_t wi = 0; wi < names.size(); ++wi) {
-        const Workload &w = workloadByName(names[wi]);
-        const Cfg cfg(w.program);
-        const KnowledgeAnalysis analysis(cfg);
-        maps.push_back(emitKnowledgeMap(analysis));
-        map_of[wi] = &maps.back();
-    }
-    struct RelaxedCfg {
-        const char *name;
-        unsigned width;
-        bool with_map;
-    };
-    const RelaxedCfg rconfigs[] = {
-        {"w3", 3, false},
-        {"w3+KMap", 3, true},
-        {"w1", 1, false},
-        {"w1+KMap", 1, true},
-    };
-    const size_t rn = std::size(rconfigs);
-    std::vector<RunJob> rgrid;
-    for (const AttackModel model : models) {
-        for (size_t wi = 0; wi < names.size(); ++wi) {
-            const Workload &w = workloadByName(names[wi]);
-            for (const RelaxedCfg &rc : rconfigs) {
-                RunJob job;
-                job.program = &w.program;
-                job.engine.scheme = ProtectionScheme::kSpt;
-                job.engine.spt.method = UntaintMethod::kBackward;
-                job.engine.spt.shadow = ShadowKind::kShadowL1;
-                job.engine.spt.broadcast_width = rc.width;
-                job.engine.spt.knowledge_map =
-                    rc.with_map ? map_of[wi] : nullptr;
-                job.attack_model = model;
-                rgrid.push_back(job);
-            }
-        }
-    }
-    const std::vector<RunOutcome> routs = runner.run(rgrid);
-    reportSweep(runner);
-    auto rat = [&](size_t mi, size_t wi, size_t ci)
-        -> const RunOutcome & {
-        return routs[(mi * names.size() + wi) * rn + ci];
-    };
-
     printf("\n=== SPT{Bwd,ShadowL1} + knowledge map: normalized "
            "execution time ===\n");
     json.key("relaxed").beginObject();
@@ -290,8 +291,7 @@ main(int argc, char **argv)
         json.key("workloads").beginArray();
         for (size_t wi = 0; wi < names.size(); ++wi) {
             // Normalize to the same UnsafeBaseline column the main
-            // grid used (config 0 is UnsafeBaseline); memoization
-            // makes the duplicate SPT w3 job free.
+            // grid used (config 0 is UnsafeBaseline).
             const double base =
                 static_cast<double>(at(mi, wi, 0).result.cycles);
             printf("%-16s", names[wi].c_str());

@@ -1,9 +1,7 @@
 #include "common/cli.h"
 
 #include <cctype>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 
 #include "common/logging.h"
@@ -28,20 +26,6 @@ parseUnsigned(const std::string &text, const char *what,
     if (value > max)
         SPT_FATAL(what << ": " << value << " exceeds maximum "
                        << max);
-    return value;
-}
-
-double
-parseDouble(const std::string &text, const char *what)
-{
-    if (text.empty())
-        SPT_FATAL(what << ": empty number");
-    char *end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    if (end == nullptr || *end != '\0')
-        SPT_FATAL(what << ": not a number: '" << text << "'");
-    if (!std::isfinite(value) || value < 0.0)
-        SPT_FATAL(what << ": out of range: '" << text << "'");
     return value;
 }
 

@@ -29,11 +29,6 @@ namespace spt {
 uint64_t parseUnsigned(const std::string &text, const char *what,
                        uint64_t max = UINT64_MAX);
 
-/** Parses a finite non-negative decimal real (e.g. "--deadline
- *  2.5"); SPT_FATAL on empty input, trailing garbage, negative or
- *  non-finite values. */
-double parseDouble(const std::string &text, const char *what);
-
 /** Runs @p body, mapping exceptions to the tool exit-code
  *  convention above. @p tool prefixes the diagnostic line. */
 int toolMain(const char *tool, const std::function<int()> &body);

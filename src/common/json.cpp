@@ -75,8 +75,10 @@ JsonWriter::endArray()
     return *this;
 }
 
+namespace {
+
 std::string
-jsonQuoted(const std::string &s)
+escaped(const std::string &s)
 {
     std::string out;
     out.reserve(s.size() + 2);
@@ -104,13 +106,15 @@ jsonQuoted(const std::string &s)
     return out;
 }
 
+} // namespace
+
 JsonWriter &
 JsonWriter::key(const std::string &name)
 {
     SPT_ASSERT(!stack_.empty() && stack_.back() == '{' && !have_key_,
                "JsonWriter::key needs an open object");
     separate();
-    out_ += jsonQuoted(name);
+    out_ += escaped(name);
     out_ += ": ";
     need_comma_ = true;
     have_key_ = true;
@@ -121,7 +125,7 @@ JsonWriter &
 JsonWriter::value(const std::string &v)
 {
     separate();
-    out_ += jsonQuoted(v);
+    out_ += escaped(v);
     need_comma_ = true;
     return *this;
 }

@@ -79,12 +79,6 @@ class JsonWriter
     bool have_key_ = false;
 };
 
-/** @p s as a JSON string literal, quotes included, with the
- *  writer's escaping rules. Shared with the compact single-line
- *  renderers (common/event_log.h) so every JSON we emit escapes
- *  identically. */
-std::string jsonQuoted(const std::string &s);
-
 /** Writes @p content to @p path atomically enough for bench use
  *  (plain fopen/fwrite); throws FatalError if the file cannot be
  *  opened or fully written. */

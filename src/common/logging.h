@@ -64,7 +64,7 @@ bool logTimestamps();
 void setLogTimestamps(bool enabled);
 
 /** Monotonic seconds since process start (the value the timestamp
- *  prefix prints; also used by the event log). */
+ *  prefix prints). */
 double logMonotonicSeconds();
 
 /** Emits a warning to stderr (does not stop the simulation).
@@ -82,10 +82,9 @@ void debug(const std::string &msg);
 
 /** Emits an operator-facing status line to stderr unconditionally
  *  (no severity prefix, not gated by verbose()/logLevel()). The
- *  `[cache]` / `[sweep]` / `[spt_sweepd]` lines that CI greps out
- *  of stderr go through here, so quieting the log level can never
- *  break those gates. Same single-write thread-safety contract as
- *  warn(). */
+ *  `[cache]` / `[sweep]` lines that CI greps out of stderr go
+ *  through here, so quieting the log level can never break those
+ *  gates. Same single-write thread-safety contract as warn(). */
 void report(const std::string &msg);
 
 /** Globally enables/disables inform() output (benches silence it).

@@ -34,9 +34,6 @@ class Histogram
     size_t numBuckets() const { return buckets_.size(); }
     /** Largest value recorded so far (0 if no samples). */
     uint64_t maxSample() const { return max_; }
-    /** Exact sum of all recorded values (the Prometheus exporter's
-     *  `_sum` series; mean() is sum()/samples()). */
-    uint64_t sum() const { return sum_; }
     /** Arithmetic mean (0.0 if no samples — the dump paths derive
      *  mean/p50/p95 for never-recorded histograms, so every derived
      *  statistic is defined on the empty histogram and never

@@ -1,8 +1,5 @@
 #include "isa/program.h"
 
-#include <istream>
-#include <ostream>
-
 #include "common/logging.h"
 #include "isa/encoding.h"
 
@@ -32,12 +29,17 @@ Program::addData(uint64_t addr, const std::vector<uint8_t> &bytes)
 void
 Program::addData64(uint64_t addr, const std::vector<uint64_t> &words)
 {
-    std::vector<uint8_t> bytes;
-    bytes.reserve(words.size() * 8);
-    for (uint64_t w : words)
+    // Little-endian words written straight into the segment, so the
+    // eight byte stores of a word merge into one: this loop dominates
+    // building the workload registry.
+    std::vector<uint8_t> &seg = data_[addr];
+    seg.resize(seg.size() + words.size() * 8);
+    uint8_t *out = seg.data() + seg.size() - words.size() * 8;
+    for (const uint64_t w : words) {
         for (int i = 0; i < 8; ++i)
-            bytes.push_back(static_cast<uint8_t>(w >> (8 * i)));
-    addData(addr, bytes);
+            out[i] = static_cast<uint8_t>(w >> (8 * i));
+        out += 8;
+    }
 }
 
 void
@@ -82,157 +84,6 @@ Program::markSecret(uint64_t addr, uint64_t len)
 {
     SPT_ASSERT(len > 0, "markSecret: empty range at " << addr);
     secrets_.push_back({addr, len});
-}
-
-namespace {
-
-constexpr uint64_t kProgMagic = 0x5350545052524731ull; // "SPTPRRG1"
-constexpr uint32_t kProgVersion = 1;
-
-void
-putU64(std::ostream &os, uint64_t v)
-{
-    char b[8];
-    for (int i = 0; i < 8; ++i)
-        b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-    os.write(b, 8);
-}
-
-uint64_t
-getU64(std::istream &is)
-{
-    char b[8];
-    is.read(b, 8);
-    if (!is)
-        SPT_FATAL("program stream truncated");
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(static_cast<uint8_t>(b[i]))
-             << (8 * i);
-    return v;
-}
-
-void
-putStr(std::ostream &os, const std::string &s)
-{
-    putU64(os, s.size());
-    os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::string
-getStr(std::istream &is)
-{
-    const uint64_t n = getU64(is);
-    if (n > (uint64_t{1} << 20))
-        SPT_FATAL("program stream corrupt: implausible string "
-                  "length "
-                  << n);
-    std::string s(n, '\0');
-    is.read(s.data(), static_cast<std::streamsize>(n));
-    if (static_cast<uint64_t>(is.gcount()) != n)
-        SPT_FATAL("program stream truncated");
-    return s;
-}
-
-} // namespace
-
-void
-programSave(const Program &program, std::ostream &os)
-{
-    putU64(os, kProgMagic);
-    putU64(os, kProgVersion);
-    putU64(os, program.entry());
-    putU64(os, program.size());
-    for (const Instruction &inst : program.code()) {
-        putU64(os, static_cast<uint64_t>(inst.op));
-        putU64(os, (uint64_t{inst.rd}) | (uint64_t{inst.rs1} << 8) |
-                       (uint64_t{inst.rs2} << 16));
-        putU64(os, static_cast<uint64_t>(inst.imm));
-    }
-    putU64(os, program.dataSegments().size());
-    for (const auto &[addr, bytes] : program.dataSegments()) {
-        putU64(os, addr);
-        putU64(os, bytes.size());
-        os.write(reinterpret_cast<const char *>(bytes.data()),
-                 static_cast<std::streamsize>(bytes.size()));
-    }
-    putU64(os, program.symbols().size());
-    for (const auto &[name, value] : program.symbols()) {
-        putStr(os, name);
-        putU64(os, value);
-    }
-    putU64(os, program.secretRanges().size());
-    for (const SecretRange &r : program.secretRanges()) {
-        putU64(os, r.base);
-        putU64(os, r.len);
-    }
-    if (!os)
-        SPT_FATAL("program serialization failed (stream error)");
-}
-
-Program
-programLoad(std::istream &is)
-{
-    if (getU64(is) != kProgMagic)
-        SPT_FATAL("not a serialized program (bad magic)");
-    const uint64_t version = getU64(is);
-    if (version != kProgVersion)
-        SPT_FATAL("unsupported program format version " << version);
-    Program program;
-    const uint64_t entry = getU64(is);
-    const uint64_t ninsts = getU64(is);
-    if (ninsts > (uint64_t{1} << 24))
-        SPT_FATAL("program stream corrupt: " << ninsts
-                                             << " instructions");
-    for (uint64_t i = 0; i < ninsts; ++i) {
-        Instruction inst;
-        const uint64_t op = getU64(is);
-        if (op >= static_cast<uint64_t>(Opcode::kNumOpcodes))
-            SPT_FATAL("program stream corrupt: opcode " << op);
-        inst.op = static_cast<Opcode>(op);
-        const uint64_t regs = getU64(is);
-        inst.rd = static_cast<uint8_t>(regs & 0xff);
-        inst.rs1 = static_cast<uint8_t>((regs >> 8) & 0xff);
-        inst.rs2 = static_cast<uint8_t>((regs >> 16) & 0xff);
-        inst.imm = static_cast<int64_t>(getU64(is));
-        program.append(inst);
-    }
-    program.setEntry(entry);
-    const uint64_t nsegs = getU64(is);
-    if (nsegs > (uint64_t{1} << 16))
-        SPT_FATAL("program stream corrupt: " << nsegs
-                                             << " data segments");
-    for (uint64_t s = 0; s < nsegs; ++s) {
-        const uint64_t addr = getU64(is);
-        const uint64_t len = getU64(is);
-        if (len > (uint64_t{1} << 30))
-            SPT_FATAL("program stream corrupt: segment of " << len
-                                                            << " bytes");
-        std::vector<uint8_t> bytes(len);
-        is.read(reinterpret_cast<char *>(bytes.data()),
-                static_cast<std::streamsize>(len));
-        if (static_cast<uint64_t>(is.gcount()) != len)
-            SPT_FATAL("program stream truncated");
-        program.addData(addr, bytes);
-    }
-    const uint64_t nsyms = getU64(is);
-    if (nsyms > (uint64_t{1} << 20))
-        SPT_FATAL("program stream corrupt: " << nsyms << " symbols");
-    for (uint64_t s = 0; s < nsyms; ++s) {
-        const std::string name = getStr(is);
-        const uint64_t value = getU64(is);
-        program.defineSymbol(name, value);
-    }
-    const uint64_t nsecrets = getU64(is);
-    if (nsecrets > (uint64_t{1} << 16))
-        SPT_FATAL("program stream corrupt: " << nsecrets
-                                             << " secret ranges");
-    for (uint64_t s = 0; s < nsecrets; ++s) {
-        const uint64_t base = getU64(is);
-        const uint64_t len = getU64(is);
-        program.markSecret(base, len);
-    }
-    return program;
 }
 
 void

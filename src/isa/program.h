@@ -8,7 +8,6 @@
 #define SPT_ISA_PROGRAM_H
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -107,20 +106,6 @@ class Program
     std::vector<SecretRange> secrets_;
     uint64_t entry_ = 0;
 };
-
-/**
- * Program wire codec ("SPTPROG1": versioned, little-endian,
- * bounds-checked like every other artifact format in the repo).
- * Serializes the full loadable identity — instruction stream, entry
- * point, data segments, symbol table, secret ranges — so a program
- * shipped to the sweep daemon (sim/sweep_service.h) is
- * content-identical to the sender's: both sides derive the same
- * content fingerprint and therefore the same cache key. programLoad
- * rejects truncation, foreign magic, and version skew with
- * FatalError.
- */
-void programSave(const Program &program, std::ostream &os);
-Program programLoad(std::istream &is);
 
 } // namespace spt
 

@@ -1,7 +1,6 @@
 #include "sim/exp_runner.h"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
@@ -12,7 +11,6 @@
 #include "common/json.h"
 #include "common/logging.h"
 #include "common/parallel.h"
-#include "sim/sweep_service.h"
 #include "uarch/invariant_checker.h"
 
 namespace spt {
@@ -30,59 +28,10 @@ runStatusName(RunStatus s)
     return "?";
 }
 
-std::string
-jobKey(const RunJob &job)
-{
-    // Every descriptor field except `label` participates. SptConfig
-    // currently has exactly {method, shadow, broadcast_width,
-    // storage, mutation, knowledge_map}; extend this when it grows
-    // (tests/test_exp_runner.cpp pins the sensitivity). The
-    // observability flags must participate too: a traced run carries
-    // artifacts a plain run lacks, so the two may not share a slot.
-    // The wall timeout participates because it can change the
-    // outcome (a capped run may cut off early). fast_forward and the
-    // checkpoint knobs participate even though they are
-    // result-identical by contract: they change ff.* counters /
-    // where a run starts, and merging them would hide exactly the
-    // regressions the equivalence gates exist to catch.
-    char buf[384];
-    int n = std::snprintf(
-        buf, sizeof buf,
-        "p=%p|sch=%u|m=%u|sh=%u|bw=%u|st=%u|mut=%u|km=%p|am=%u"
-        "|seed=%llu"
-        "|mc=%llu|tr=%u|pf=%u|iv=%llu|inv=%u|wd=%llu|wt=%.9g|ff=%u"
-        "|ca=%llu|fs=%llu",
-        static_cast<const void *>(job.program),
-        static_cast<unsigned>(job.engine.scheme),
-        static_cast<unsigned>(job.engine.spt.method),
-        static_cast<unsigned>(job.engine.spt.shadow),
-        job.engine.spt.broadcast_width,
-        static_cast<unsigned>(job.engine.spt.storage),
-        static_cast<unsigned>(job.engine.spt.mutation),
-        static_cast<const void *>(job.engine.spt.knowledge_map),
-        static_cast<unsigned>(job.attack_model),
-        static_cast<unsigned long long>(job.seed),
-        static_cast<unsigned long long>(job.max_cycles),
-        static_cast<unsigned>(job.trace),
-        static_cast<unsigned>(job.profile),
-        static_cast<unsigned long long>(job.interval_stats),
-        static_cast<unsigned>(job.invariants),
-        static_cast<unsigned long long>(job.watchdog_cycles),
-        job.wall_timeout_seconds,
-        static_cast<unsigned>(job.fast_forward),
-        static_cast<unsigned long long>(job.checkpoint_at),
-        static_cast<unsigned long long>(job.faults.seed));
-    std::string key(buf, static_cast<std::size_t>(n));
-    for (std::size_t i = 0; i < kNumFaultSites; ++i) {
-        std::snprintf(buf, sizeof buf, "|f%zu=%u", i,
-                      job.faults.rate_ppm[i]);
-        key += buf;
-    }
-    key += "|ck=";
-    key += job.checkpoint;
-    return key;
-}
+namespace {
 
+/** One-line human identity of a job for reports: label if set,
+ *  else engine/model/seed/faults (RunOutcome::job_desc). */
 std::string
 describeRunJob(const RunJob &job)
 {
@@ -98,8 +47,6 @@ describeRunJob(const RunJob &job)
         desc += "/faults@" + std::to_string(job.faults.seed);
     return desc;
 }
-
-namespace {
 
 SimConfig
 configFor(const RunJob &job)
@@ -161,6 +108,61 @@ tail(const std::string &text, std::size_t lines)
     return pos == 0 ? text : text.substr(pos + 1);
 }
 
+/** Restores @p job's snapshot into @p sim, if the job names one. */
+void
+restoreCheckpoint(Simulator &sim, const RunJob &job)
+{
+    if (job.checkpoint.empty())
+        return;
+    std::ifstream snap(job.checkpoint, std::ios::binary);
+    if (!snap)
+        SPT_FATAL("cannot open snapshot " << job.checkpoint);
+    sim.restoreSnapshot(snap);
+}
+
+/** Simulates @p job. An exception escaping the simulation becomes a
+ *  kCrash outcome, with the exception itself kept in @p error. */
+RunOutcome
+simulate(const RunJob &job, std::exception_ptr *error)
+{
+    RunOutcome out;
+    try {
+        Simulator sim(*job.program, configFor(job));
+        restoreCheckpoint(sim, job);
+        std::ostringstream trace_text, trace_pipeview;
+        if (job.trace)
+            sim.enableTrace(&trace_text, &trace_pipeview);
+        const auto j0 = std::chrono::steady_clock::now();
+        out.result = sim.run();
+        const auto j1 = std::chrono::steady_clock::now();
+        out.host_seconds =
+            std::chrono::duration<double>(j1 - j0).count();
+        const StatSet &stats = sim.core().engine().stats();
+        out.engine_counters = stats.counters();
+        out.engine_histograms = stats.histograms();
+        if (job.trace) {
+            out.trace_text = trace_text.str();
+            out.trace_pipeview = trace_pipeview.str();
+        }
+        if (sim.profiler())
+            out.profile_json = sim.profiler()->toJson();
+        if (sim.intervals())
+            out.intervals_json = sim.intervals()->toJson();
+        if (sim.faults())
+            out.fault_counters = sim.faults()->counters();
+        for (unsigned r = 0; r < kNumArchRegs; ++r)
+            out.arch_regs[r] = sim.core().archReg(r);
+        out.status = classify(sim, out.result);
+        if (job.invariants || out.status != RunStatus::kOk)
+            out.diagnostics_json = sim.diagnosticsJson();
+    } catch (const std::exception &e) {
+        out.status = RunStatus::kCrash;
+        out.error = e.what();
+        *error = std::current_exception();
+    }
+    return out;
+}
+
 /** Re-run a failed job once with trace + invariants attached to
  *  gather evidence; never throws. */
 void
@@ -170,12 +172,7 @@ captureEvidence(const RunJob &job, RunOutcome &out)
         SimConfig cfg = configFor(job);
         cfg.invariants = true;
         Simulator sim(*job.program, cfg);
-        if (!job.checkpoint.empty()) {
-            std::ifstream snap(job.checkpoint, std::ios::binary);
-            if (!snap)
-                SPT_FATAL("cannot open snapshot " << job.checkpoint);
-            sim.restoreSnapshot(snap);
-        }
+        restoreCheckpoint(sim, job);
         std::ostringstream text, pipeview;
         sim.enableTrace(&text, &pipeview);
         const SimResult r = sim.run();
@@ -226,75 +223,29 @@ ExpRunner::run(const std::vector<RunJob> &grid,
         if (grid[i].program == nullptr)
             SPT_FATAL("RunJob " << i << " has a null program");
 
-    // Route the whole grid to a sweep daemon when one is configured
-    // (it owns the warm cache and worker pool; outcomes come back
-    // byte-identical to an in-process run).
-    std::string socket = policy.service_socket;
-    if (socket.empty())
-        if (const char *env = std::getenv("SPT_SWEEP_SOCKET"))
-            socket = env;
-    if (!socket.empty() && socket != kNoSweepService)
-        return runGridViaService(socket, grid, policy, &last_);
-
-    // Deduplicate up front: unique jobs run on the pool, duplicate
-    // slots are filled by copy afterwards.
+    // Deduplicate up front on the content key: unique jobs run on
+    // the pool, duplicate slots are filled by copy afterwards. A
+    // slot without a key is always its own unique job. Keys are
+    // computed here on the main thread: canonicalKey may read a
+    // checkpoint file, and the hash memo it fills is shared mutable
+    // state the pool workers must not touch (common/parallel.h
+    // contract).
+    KeyHashMemo memo;
+    std::vector<std::string> keys(grid.size());
     std::vector<std::size_t> unique;       // grid indices to simulate
     std::vector<std::size_t> source(grid.size()); // slot -> source slot
     std::unordered_map<std::string, std::size_t> first_by_key;
     unique.reserve(grid.size());
     for (std::size_t i = 0; i < grid.size(); ++i) {
-        const auto [it, inserted] =
-            first_by_key.emplace(jobKey(grid[i]), i);
-        source[i] = it->second;
-        if (inserted)
+        keys[i] = ResultCache::canonicalKey(grid[i], &memo);
+        source[i] = keys[i].empty()
+                        ? i
+                        : first_by_key.emplace(keys[i], i).first->second;
+        if (source[i] == i)
             unique.push_back(i);
     }
 
-    // Telemetry sinks (observability only — nothing below reads any
-    // of these back into simulated state, which is the whole
-    // determinism argument of DESIGN.md §15). Series handles are
-    // resolved here on the main thread so workers only bump atomics.
-    EventLog &elog =
-        policy.event_log ? *policy.event_log : EventLog::global();
-    MetricsRegistry &reg =
-        policy.metrics ? *policy.metrics : MetricsRegistry::global();
-    ProgressBoard &board =
-        policy.progress ? *policy.progress : ProgressBoard::global();
-    Counter &m_exec = reg.counter("runner.jobs.executed");
-    Counter &m_cycles = reg.counter("runner.sim.cycles");
-    Counter &m_instr = reg.counter("runner.sim.instructions");
-    Counter &m_cache_hits = reg.counter("runner.cache.hits");
-    Counter &m_cache_misses = reg.counter("runner.cache.misses");
-    Counter &m_verify_mm =
-        reg.counter("runner.cache.verify_mismatches");
-    BoundedHistogram &m_host_ms = reg.histogram(
-        "runner.job.host_ms", {1, 10, 100, 1000, 10000, 60000});
-    Gauge &g_running = reg.gauge("runner.jobs.running");
-    board.reset(grid.size());
-    for (std::size_t i = 0; i < grid.size(); ++i)
-        board.setLabel(i, describeRunJob(grid[i]));
-    const std::string sweep_span = EventLog::newSpanId();
-    elog.emit(EventLevel::kInfo, "runner", "sweep-start",
-              EventFields()
-                  .num("jobs", static_cast<uint64_t>(grid.size()))
-                  .num("unique",
-                       static_cast<uint64_t>(unique.size()))
-                  .num("workers", static_cast<uint64_t>(workers_)),
-              sweep_span, policy.parent_span);
-
-    // Canonical cache keys are computed up front on the main thread:
-    // canonicalKey may read a checkpoint file, and the memoization
-    // map it fills is shared mutable state the pool workers must not
-    // touch (common/parallel.h contract).
     const std::unique_ptr<ResultCache> cache = openCache(policy);
-    std::vector<std::string> ckeys(grid.size());
-    if (cache) {
-        std::map<std::string, uint64_t> ckpt_hashes;
-        for (const std::size_t slot : unique)
-            ckeys[slot] =
-                ResultCache::canonicalKey(grid[slot], &ckpt_hashes);
-    }
-
     std::vector<RunOutcome> outcomes(grid.size());
     // Exceptions are caught per slot and resolved after the pool
     // drains, so a failing sweep (a) always identifies the
@@ -306,141 +257,31 @@ ExpRunner::run(const std::vector<RunJob> &grid,
     parallelFor(unique.size(), workers_, [&](std::size_t u) {
         const std::size_t slot = unique[u];
         const RunJob &job = grid[slot];
-        const std::string &ckey = ckeys[slot];
+        const std::string &key = keys[slot];
+        const bool cacheable = cache && !key.empty();
         RunOutcome cached;
-        bool verify_hit = false;
-        bool cache_hit = false;
-        if (cache && !ckey.empty()) {
-            if (cache->lookup(ckey, &cached)) {
-                cache_hit = true;
-                // Mirrors ResultCache's own hit/miss accrual so the
-                // registry series conserve against SweepStats::cache
-                // (pinned in tests/test_telemetry.cpp).
-                m_cache_hits.inc();
-            } else {
-                m_cache_misses.inc();
-            }
+        const bool hit = cacheable && cache->lookup(key, &cached);
+        if (hit && cache->mode() != CacheMode::kVerify) {
+            outcomes[slot] = std::move(cached);
+            return;
         }
-        if (cache_hit) {
-            if (cache->mode() == CacheMode::kVerify) {
-                verify_hit = true; // re-simulate, then compare
-            } else {
-                board.start(slot);
-                board.finish(slot, cached.result.cycles,
-                             cached.result.instructions);
-                elog.emit(EventLevel::kInfo, "runner", "job-done",
-                          EventFields()
-                              .num("slot",
-                                   static_cast<uint64_t>(slot))
-                              .str("job", describeRunJob(job))
-                              .str("status",
-                                   runStatusName(cached.status))
-                              .num("cycles", cached.result.cycles)
-                              .str("cache", "hit"),
-                          EventLog::newSpanId(), sweep_span);
-                outcomes[slot] = std::move(cached);
-                if (policy.on_slot_complete)
-                    policy.on_slot_complete(slot, outcomes[slot]);
-                return;
-            }
+        RunOutcome out = simulate(job, &errors[slot]);
+        if (hit) {
+            // Verify mode: the fresh outcome wins; a byte mismatch
+            // with the stored record is the finding.
+            if (ResultCache::encodeOutcomeDeterministic(out) !=
+                ResultCache::encodeOutcomeDeterministic(cached))
+                cache->noteVerifyMismatch(key);
+        } else if (cacheable) {
+            // Stored the moment it finishes: a sweep killed after
+            // this point does not re-simulate this slot.
+            cache->store(key, out);
         }
-        const std::string job_span = EventLog::newSpanId();
-        board.start(slot);
-        g_running.add(1);
-        elog.emit(EventLevel::kDebug, "runner", "job-start",
-                  EventFields()
-                      .num("slot", static_cast<uint64_t>(slot))
-                      .str("job", describeRunJob(job)),
-                  job_span, sweep_span);
-        RunOutcome out;
-        try {
-            SimConfig cfg = configFor(job);
-            Simulator sim(*job.program, cfg);
-            if (!job.checkpoint.empty()) {
-                std::ifstream snap(job.checkpoint,
-                                   std::ios::binary);
-                if (!snap)
-                    SPT_FATAL("cannot open snapshot "
-                              << job.checkpoint);
-                sim.restoreSnapshot(snap);
-            }
-            std::ostringstream trace_text, trace_pipeview;
-            if (job.trace)
-                sim.enableTrace(&trace_text, &trace_pipeview);
-            if (policy.heartbeat_cycles != 0)
-                sim.setHeartbeat(
-                    policy.heartbeat_cycles,
-                    [&board, slot](uint64_t c, uint64_t i) {
-                        board.heartbeat(slot, c, i);
-                    });
-            const auto j0 = std::chrono::steady_clock::now();
-            out.result = sim.run();
-            const auto j1 = std::chrono::steady_clock::now();
-            out.host_seconds =
-                std::chrono::duration<double>(j1 - j0).count();
-            const StatSet &stats = sim.core().engine().stats();
-            out.engine_counters = stats.counters();
-            out.engine_histograms = stats.histograms();
-            if (job.trace) {
-                out.trace_text = trace_text.str();
-                out.trace_pipeview = trace_pipeview.str();
-            }
-            if (sim.profiler())
-                out.profile_json = sim.profiler()->toJson();
-            if (sim.intervals())
-                out.intervals_json = sim.intervals()->toJson();
-            if (sim.faults())
-                out.fault_counters = sim.faults()->counters();
-            for (unsigned r = 0; r < kNumArchRegs; ++r)
-                out.arch_regs[r] = sim.core().archReg(r);
-            out.status = classify(sim, out.result);
-            if (job.invariants || out.status != RunStatus::kOk)
-                out.diagnostics_json = sim.diagnosticsJson();
-        } catch (const std::exception &e) {
-            out.status = RunStatus::kCrash;
-            out.error = e.what();
-            errors[slot] = std::current_exception();
-        }
-        if (verify_hit &&
-            ResultCache::encodeOutcomeDeterministic(out) !=
-                ResultCache::encodeOutcomeDeterministic(cached)) {
-            cache->noteVerifyMismatch(ckey);
-            m_verify_mm.inc();
-        }
-        if (cache && !ckey.empty() && !verify_hit)
-            cache->store(ckey, out);
         if (policy.capture_evidence &&
             (out.status == RunStatus::kCrash ||
              out.status == RunStatus::kViolation))
             captureEvidence(job, out);
-        g_running.add(-1);
-        m_exec.inc();
-        // Simulated-work totals: conserve against the per-outcome
-        // cycle/instruction counts (each executed simulation billed
-        // exactly once; memo and cache hits excluded).
-        m_cycles.inc(out.result.cycles);
-        m_instr.inc(out.result.instructions);
-        m_host_ms.record(
-            static_cast<uint64_t>(out.host_seconds * 1000.0));
-        board.finish(slot, out.result.cycles,
-                     out.result.instructions);
-        elog.emit(out.failed() ? EventLevel::kWarn
-                               : EventLevel::kInfo,
-                  "runner", "job-done",
-                  EventFields()
-                      .num("slot", static_cast<uint64_t>(slot))
-                      .str("job", describeRunJob(job))
-                      .str("status", runStatusName(out.status))
-                      .num("cycles", out.result.cycles)
-                      .num("instructions", out.result.instructions)
-                      .real("host_s", out.host_seconds)
-                      .str("cache", !cache ? "off"
-                                  : verify_hit ? "verify"
-                                               : "miss"),
-                  job_span, sweep_span);
         outcomes[slot] = std::move(out);
-        if (policy.on_slot_complete)
-            policy.on_slot_complete(slot, outcomes[slot]);
     });
     const auto t1 = std::chrono::steady_clock::now();
 
@@ -452,13 +293,6 @@ ExpRunner::run(const std::vector<RunJob> &grid,
             // duplicate in every per-config host-time total.
             outcomes[i].memoized = true;
             outcomes[i].host_seconds = 0.0;
-            // Memoized slots never ran on the pool; mark them done
-            // on the board so monitors see 100% completion.
-            board.start(i);
-            board.finish(i, outcomes[i].result.cycles,
-                         outcomes[i].result.instructions);
-            if (policy.on_slot_complete)
-                policy.on_slot_complete(i, outcomes[i]);
         }
     // Descriptors are per-slot, not per-unique-run: duplicates may
     // carry distinct labels.
@@ -474,7 +308,6 @@ ExpRunner::run(const std::vector<RunJob> &grid,
     last_.cache_mode =
         cache ? cacheModeName(cache->mode()) : "off";
     last_.cache_dir = cache ? cache->dir() : "";
-    last_.via_service = false;
     last_.failed_jobs = 0;
     last_.first_failure.clear();
     for (std::size_t i = 0; i < grid.size(); ++i) {
@@ -484,29 +317,6 @@ ExpRunner::run(const std::vector<RunJob> &grid,
         if (last_.first_failure.empty())
             last_.first_failure = outcomes[i].job_desc;
     }
-
-    // Sweep-level series: per-event counters were bumped live in
-    // the workers; the remaining totals are only known here.
-    reg.counter("runner.sweeps").inc();
-    reg.counter("runner.jobs.submitted")
-        .inc(static_cast<uint64_t>(grid.size()));
-    reg.counter("runner.jobs.memoized").inc(last_.memo_hits);
-    reg.counter("runner.jobs.failed").inc(last_.failed_jobs);
-    reg.counter("runner.cache.bytes_written")
-        .inc(last_.cache.bytes_written);
-    elog.emit(last_.failed_jobs ? EventLevel::kWarn
-                                : EventLevel::kInfo,
-              "runner", "sweep-done",
-              EventFields()
-                  .num("jobs", static_cast<uint64_t>(grid.size()))
-                  .num("unique", last_.unique_jobs)
-                  .num("memo_hits", last_.memo_hits)
-                  .num("failed", last_.failed_jobs)
-                  .str("first_failure", last_.first_failure)
-                  .num("cache_hits", last_.cache.hits)
-                  .num("cache_misses", last_.cache.misses)
-                  .real("wall_s", last_.wall_seconds),
-              sweep_span, policy.parent_span);
 
     if (!policy.keep_going)
         for (std::size_t i = 0; i < grid.size(); ++i)

@@ -29,27 +29,28 @@
  *    at a host-dependent cycle; such jobs trade determinism for
  *    bounded latency and say so in their status.)
  *
- * Duplicate jobs within a sweep are memoized: jobs with equal keys
- * (same program identity + every engine-config field + attack model
- * + seed + cycle limit + fault plan + robustness knobs, see
- * jobKey()) are simulated once and the outcome is copied into every
+ * Duplicate jobs within a sweep are memoized: jobs with equal
+ * content keys (ResultCache::canonicalKey — program content, every
+ * engine-config field, attack model, seed, cycle limit, fault plan,
+ * robustness knobs, observability flags, checkpoint bytes; not the
+ * label) are simulated once and the outcome is copied into every
  * duplicate slot. This is what spares e.g. a normalized-overhead
  * grid from re-deriving its UnsafeBaseline column per normalization.
+ * A job with no key (a wall-clock cap, an unreadable checkpoint)
+ * is never merged with another slot.
  *
- * Cross-process reuse (PR 8): with a cache directory configured
+ * Cross-process reuse: with a cache directory configured
  * (RunnerPolicy::cache_dir or SPT_CACHE_DIR), each unique job is
- * first looked up in the on-disk content-addressed result cache
+ * first looked up under the same key in the on-disk result cache
  * (sim/result_cache.h) and only simulated on a miss; clean outcomes
- * are stored back (read_write mode). A hit replays the recorded
- * outcome including its original host_seconds, so warm-cache
- * artifacts are byte-identical to the cold run that populated the
- * cache. `verify` mode re-simulates every hit and counts byte
- * mismatches into SweepStats::cache.verify_mismatches — the
- * soundness gate for the "hits are provably exact" claim. With
- * SPT_SWEEP_SOCKET (or RunnerPolicy::service_socket) set, run()
- * instead ships the whole grid to a spt_sweepd daemon
- * (sim/sweep_service.h) and collects the outcomes from its warm
- * cache and worker pool.
+ * are stored the moment they finish (read_write mode), so a sweep
+ * killed part-way and rerun on the same cache re-simulates only the
+ * slots it had not stored. A hit replays the recorded outcome
+ * including its original host_seconds, so warm-cache artifacts are
+ * byte-identical to the cold run that populated the cache. `verify`
+ * mode re-simulates every hit and counts byte mismatches into
+ * SweepStats::cache.verify_mismatches — the soundness gate for the
+ * "hits are provably exact" claim.
  *
  * Failure isolation (PR 5): by default any exception escaping a job
  * still fails the whole sweep — but it now fails *deterministically*
@@ -70,16 +71,12 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "common/event_log.h"
-#include "common/metrics.h"
 #include "common/stats.h"
 #include "isa/instruction.h"
-#include "sim/progress.h"
 #include "sim/result_cache.h"
 #include "sim/sim_config.h"
 #include "sim/simulator.h"
@@ -122,7 +119,7 @@ struct RunJob {
     /** Fast-forward quiescent periods (CoreParams::fast_forward).
      *  Result- and stat-identical to ticking every cycle (pinned by
      *  the fast-forward equivalence tests), but still part of the
-     *  memo key: the ff.* skip counters differ. */
+     *  job key: the ff.* skip counters differ. */
     bool fast_forward = false;
     /** Checkpoint drain barrier (SimConfig::checkpoint_at_retires);
      *  0 disables. Set on both the snapshot-producing run and every
@@ -130,10 +127,11 @@ struct RunJob {
     uint64_t checkpoint_at = 0;
     /** Path of a snapshot to restore before running (fork-from-
      *  checkpoint sweeps); empty = cold start. SPT_FATAL if the file
-     *  cannot be read. */
+     *  cannot be read. The job key holds the file's content hash,
+     *  not the path. */
     std::string checkpoint;
     /** Free-form name for reports ("pchase/SPT{Bwd,ShadowL1}").
-     *  Not part of the memo key: two jobs differing only by label
+     *  Not part of the job key: two jobs differing only by label
      *  are the same simulation. */
     std::string label;
 };
@@ -205,44 +203,9 @@ struct RunOutcome {
     bool failed() const { return status != RunStatus::kOk; }
 };
 
-/** RunnerPolicy::service_socket sentinel forcing in-process
- *  execution even when SPT_SWEEP_SOCKET is set; the daemon's own
- *  runner uses it so a submission can never route back into the
- *  daemon. */
-inline constexpr const char *kNoSweepService = "local";
-
-/** Client-side resilience knobs for sweeps routed through a
- *  spt_sweepd daemon (sim/sweep_service.h, DESIGN.md §16). All
- *  timeouts are *stall* timeouts — they bound how long the peer may
- *  go silent, not how long an operation may take overall; the
- *  overall bound is `deadline_seconds`. Environment overrides (read
- *  when the policy holds the defaults) let every existing driver
- *  gain resilience without code changes: SPT_SWEEP_POLL_MS,
- *  SPT_SWEEP_DEADLINE, SPT_SWEEP_RETRIES. */
-struct ServiceClientOptions {
-    /** connect() stall bound. */
-    unsigned connect_timeout_ms = 2000;
-    /** Per-frame receive stall bound (a response that stops making
-     *  progress for this long counts as a transport failure). */
-    unsigned frame_timeout_ms = 60000;
-    /** Consecutive transport failures tolerated before giving up
-     *  (reconnect + resubmit-by-token between attempts). */
-    unsigned max_retries = 8;
-    unsigned backoff_base_ms = 25;
-    unsigned backoff_max_ms = 2000;
-    /** Fixed status-poll interval; 0 keeps the adaptive 2→100 ms
-     *  doubling. */
-    unsigned poll_ms = 0;
-    /** Overall wall-clock budget for the whole batch (submit →
-     *  result); 0 = unbounded. Expiry is a FatalError — exit 2
-     *  under toolMain — never a hang. */
-    double deadline_seconds = 0.0;
-};
-
-/** Sweep-level failure handling plus cross-process execution
- *  backends. The default reproduces the historic contract: first
- *  failure (by slot index) aborts the sweep, no cache, in-process
- *  execution. */
+/** Sweep-level failure handling and the on-disk result cache. The
+ *  default reproduces the historic contract: first failure (by slot
+ *  index) aborts the sweep, no cache. */
 struct RunnerPolicy {
     /** Complete the sweep even when jobs fail; failures are
      *  classified into RunOutcome::status instead of thrown. */
@@ -251,11 +214,9 @@ struct RunnerPolicy {
      *  invariants to attach evidence (implies extra host time only
      *  for failing jobs). */
     bool capture_evidence = false;
-
-    // --- on-disk result cache (sim/result_cache.h) ----------------
-    /** Cache directory. Empty resolves the SPT_CACHE_DIR
-     *  environment variable (with SPT_CACHE_MODE, default
-     *  read_write), which is how every existing driver gains
+    /** Result-cache directory (sim/result_cache.h). Empty resolves
+     *  the SPT_CACHE_DIR environment variable (with SPT_CACHE_MODE,
+     *  default read_write), which is how every bench and tool gains
      *  cross-process reuse with zero code changes; still empty
      *  means no cache. */
     std::string cache_dir;
@@ -263,56 +224,6 @@ struct RunnerPolicy {
      *  path reads SPT_CACHE_MODE instead). kOff disables the cache
      *  even with cache_dir set. */
     CacheMode cache_mode = CacheMode::kReadWrite;
-
-    // --- sweep service (sim/sweep_service.h) ----------------------
-    /** Unix-domain socket of a spt_sweepd daemon to route the whole
-     *  grid through. Empty resolves SPT_SWEEP_SOCKET; the
-     *  kNoSweepService sentinel forces in-process execution. */
-    std::string service_socket;
-    /** Timeouts / retry budget / poll cadence for the service
-     *  client; fields left at their defaults pick up the
-     *  SPT_SWEEP_* environment overrides. */
-    ServiceClientOptions client;
-
-    /** Called once per slot as its outcome lands, with the slot
-     *  index and the final outcome (cache hits and post-pool memo
-     *  fills included). Runs on pool worker threads concurrently —
-     *  the callee synchronizes. This is the daemon's journaling
-     *  hook (sim/batch_journal.h): observability-adjacent, but
-     *  unlike the telemetry sinks below it may durably record
-     *  results; it must never mutate them. */
-    std::function<void(std::size_t, const RunOutcome &)>
-        on_slot_complete;
-
-    // --- telemetry (DESIGN.md §15) --------------------------------
-    // Observability sinks only: nothing on this block can change a
-    // simulated result or any report artifact. All three default to
-    // the process-global instances so existing drivers gain
-    // telemetry with zero code changes (the event-log *file* sink
-    // only opens when SPT_EVENT_LOG / --event-log configures one;
-    // the in-memory flight recorder always runs).
-
-    /** Structured event sink for sweep/job records; nullptr uses
-     *  EventLog::global(). */
-    EventLog *event_log = nullptr;
-    /** Span id of the enclosing operation (e.g. the daemon batch
-     *  executing this grid); the sweep span nests under it. Empty =
-     *  top-level sweep. */
-    std::string parent_span;
-    /** Metrics registry receiving runner.* series; nullptr uses
-     *  MetricsRegistry::global(). */
-    MetricsRegistry *metrics = nullptr;
-    /** Live per-slot progress board; nullptr uses
-     *  ProgressBoard::global() (what the daemon's status op and
-     *  spt_top read). */
-    ProgressBoard *progress = nullptr;
-    /** Heartbeat sampling period in simulated cycles: each running
-     *  job publishes (cycles, instructions) into its progress slot
-     *  roughly this often. 0 disables mid-run heartbeats (start/
-     *  finish transitions are still recorded). The default keeps
-     *  the check off the per-cycle stats path — one integer compare
-     *  per run-loop iteration. */
-    uint64_t heartbeat_cycles = 4'000'000;
 };
 
 /** Bookkeeping from the last ExpRunner::run call. */
@@ -325,38 +236,13 @@ struct SweepStats {
     /** job_desc of the lowest-indexed failed slot; empty if none. */
     std::string first_failure;
     /** Result-cache traffic of this sweep (all zero with the cache
-     *  off). When the sweep ran via the service, these are the
-     *  daemon-side numbers for this batch's execution. */
+     *  off). */
     CacheStats cache;
     /** Resolved cache mode name ("off" when disabled). */
     std::string cache_mode = "off";
     /** Resolved cache directory ("" when disabled). */
     std::string cache_dir;
-    /** True when the grid was executed by a sweep daemon rather
-     *  than in-process. */
-    bool via_service = false;
-    /** Client-side wait: cumulative time slept between status polls
-     *  and the poll count (via_service only — the diagnosable part
-     *  of "why did my sweep take so long"). Host timing; never in
-     *  report artifacts. */
-    double poll_wait_seconds = 0.0;
-    uint64_t polls = 0;
 };
-
-/** In-process memoization key: program identity (object address)
- *  plus every field of the job descriptor. Keep in sync with
- *  EngineConfig/SptConfig — a field missing here would merge
- *  distinct design points — and with
- *  ResultCache::canonicalKey, its content-addressed cross-process
- *  counterpart (same inventory, pointers replaced by content
- *  hashes). Exposed for tests. */
-std::string jobKey(const RunJob &job);
-
-/** One-line human identity of a job for reports: label if set,
- *  else engine/model/seed/faults. This is what RunOutcome::job_desc
- *  holds; the sweep-service client uses it to reassemble outcomes
- *  identical to an in-process run's. */
-std::string describeRunJob(const RunJob &job);
 
 class ExpRunner
 {

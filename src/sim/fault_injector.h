@@ -30,8 +30,8 @@
 namespace spt {
 
 /** A campaign's per-job fault schedule. Every field participates in
- *  jobKey() — two jobs differing in any rate or the seed are
- *  distinct design points. */
+ *  the job key (ResultCache::canonicalKey) — two jobs differing in
+ *  any rate or the seed are distinct design points. */
 struct FaultPlan {
     uint64_t seed = 0;
     /** Injection probability per opportunity, in parts-per-million;

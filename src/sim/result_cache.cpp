@@ -216,8 +216,7 @@ ResultCache::cacheable(const RunJob &job)
 }
 
 std::string
-ResultCache::canonicalKey(const RunJob &job,
-                          std::map<std::string, uint64_t> *ckpt_hashes)
+ResultCache::canonicalKey(const RunJob &job, KeyHashMemo *memo)
 {
     if (!cacheable(job))
         return "";
@@ -227,9 +226,9 @@ ResultCache::canonicalKey(const RunJob &job,
         // Content-address the snapshot too: the same path holding
         // different bytes is a different design point.
         bool have = false;
-        if (ckpt_hashes) {
-            const auto it = ckpt_hashes->find(job.checkpoint);
-            if (it != ckpt_hashes->end()) {
+        if (memo) {
+            const auto it = memo->checkpoints.find(job.checkpoint);
+            if (it != memo->checkpoints.end()) {
                 ckpt_hash = it->second;
                 have = true;
             }
@@ -237,21 +236,38 @@ ResultCache::canonicalKey(const RunJob &job,
         if (!have) {
             if (!hashFile(job.checkpoint, &ckpt_hash))
                 return ""; // unreadable: the simulation will say so
-            if (ckpt_hashes)
-                (*ckpt_hashes)[job.checkpoint] = ckpt_hash;
+            if (memo)
+                memo->checkpoints[job.checkpoint] = ckpt_hash;
         }
     }
 
-    const uint64_t prog = KnowledgeMap::fingerprintOf(*job.program);
+    uint64_t prog = 0;
+    if (memo) {
+        const auto [it, inserted] =
+            memo->programs.try_emplace(job.program, 0);
+        if (inserted)
+            it->second = KnowledgeMap::fingerprintOf(*job.program);
+        prog = it->second;
+    } else {
+        prog = KnowledgeMap::fingerprintOf(*job.program);
+    }
     const uint64_t km =
         job.engine.spt.knowledge_map != nullptr
             ? job.engine.spt.knowledge_map->contentHash()
             : 0;
 
-    // Same field inventory as jobKey() (minus label), with every
-    // by-reference component replaced by its content hash. The
-    // "resv1" prefix versions the key schema itself: changing how
-    // keys are derived must not alias old entries.
+    // Every descriptor field except `label` (presentation, not
+    // identity) and `wall_timeout_seconds` (capped jobs get no key
+    // at all), with each by-reference component replaced by its
+    // content hash. The observability flags participate: a traced
+    // run carries artifacts a plain run lacks. fast_forward and the
+    // checkpoint knobs participate although they are
+    // result-identical by contract: they change ff.* counters or
+    // where a run starts, and merging them would hide exactly the
+    // regressions the equivalence gates exist to catch. The "resv1"
+    // prefix versions the key schema itself: changing how keys are
+    // derived must not alias old entries, so this text must stay
+    // byte-stable for every existing field.
     char buf[512];
     int n = std::snprintf(
         buf, sizeof buf,

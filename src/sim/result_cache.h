@@ -1,12 +1,9 @@
 /**
  * @file
  * On-disk content-addressed result cache: cross-process memoization
- * of RunJob outcomes (the first layer of sweep-as-a-service,
- * DESIGN.md §14).
+ * of RunJob outcomes (DESIGN.md §14).
  *
- * The in-process memoization of sim/exp_runner.h keys jobs by
- * object identity (program/map pointers) and dies with the process;
- * this cache keys them by *content*. `canonicalKey` serializes the
+ * Jobs are keyed by *content*. `canonicalKey` serializes the
  * full job descriptor into a stable text form in which every
  * by-reference component is replaced by a content hash — the
  * program fingerprint (KnowledgeMap::fingerprintOf: instruction
@@ -19,7 +16,9 @@
  * any worker count, so serving a hit from disk is provably exact,
  * not approximate. `verify` mode makes that claim testable by
  * re-simulating hits and comparing the deterministic portion of
- * the outcome byte-for-byte.
+ * the outcome byte-for-byte. The same key is ExpRunner's in-sweep
+ * dedup key (sim/exp_runner.h), so one notion of "same job" covers
+ * both a grid's duplicate cells and reruns in later processes.
  *
  * Record format ("SPTRES01", following the SPTKMAP1/snapshot codec
  * conventions): versioned, explicit little-endian, bounds-checked,
@@ -39,7 +38,9 @@
  *
  * Writes are atomic (temp file + rename), so concurrent writers —
  * pool workers, or several processes sharing one cache directory —
- * race benignly: both produce the same bytes for the same key.
+ * race benignly: both produce the same bytes for the same key. A
+ * sweep killed mid-write leaves at most a stray `.tmp<N>` file,
+ * which no lookup ever reads.
  */
 
 #ifndef SPT_SIM_RESULT_CACHE_H
@@ -49,9 +50,11 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 
 namespace spt {
 
+class Program;
 struct RunJob;
 struct RunOutcome;
 
@@ -68,6 +71,16 @@ const char *cacheModeName(CacheMode m);
 /** Parses "off" / "read_write" / "read_only" / "verify";
  *  SPT_FATAL on anything else. */
 CacheMode parseCacheMode(const std::string &text);
+
+/** Content hashes canonicalKey has already derived within one grid:
+ *  each distinct Program object is fingerprinted once and each
+ *  checkpoint file hashed once, instead of once per cell. Valid
+ *  only while those programs and files stay unchanged — one
+ *  ExpRunner::run call. */
+struct KeyHashMemo {
+    std::unordered_map<const Program *, uint64_t> programs;
+    std::map<std::string, uint64_t> checkpoints;
+};
 
 /** Cache traffic of one sweep (SweepStats::cache). */
 struct CacheStats {
@@ -102,16 +115,12 @@ class ResultCache
     /** Stable content-addressed serialization of the descriptor;
      *  "" when the job is uncacheable (including an unreadable
      *  checkpoint file — the simulation itself will report that).
-     *  @p ckpt_hashes, when given, memoizes checkpoint-file hashes
-     *  across the calls of one grid so a fork-from-snapshot sweep
-     *  reads the snapshot once, not once per cell. */
-    static std::string
-    canonicalKey(const RunJob &job,
-                 std::map<std::string, uint64_t> *ckpt_hashes =
-                     nullptr);
+     *  @p memo, when given, carries program fingerprints and
+     *  checkpoint-file hashes across the calls of one grid. */
+    static std::string canonicalKey(const RunJob &job,
+                                    KeyHashMemo *memo = nullptr);
 
-    /** Deterministic wire encoding of an outcome — the record
-     *  payload, also reused verbatim by the sweep-service protocol.
+    /** Deterministic encoding of an outcome — the record payload.
      *  job_desc/memoized are per-slot runner state and excluded. */
     static std::string encodeOutcome(const RunOutcome &out);
     /** Inverse of encodeOutcome; SPT_FATAL on malformed bytes. */

@@ -93,17 +93,6 @@ class Simulator
      */
     void enableTrace(std::ostream *text, std::ostream *pipeview);
 
-    /** Arms the telemetry heartbeat (forwarded to Core): @p hook
-     *  fires with (cycles, instructions) roughly every
-     *  @p interval_cycles simulated cycles during run(). Read-only
-     *  telemetry — does not disable fast-forward and cannot perturb
-     *  results (DESIGN.md §15). Call before run(). */
-    void setHeartbeat(uint64_t interval_cycles,
-                      Core::HeartbeatHook hook)
-    {
-        core_->setHeartbeat(interval_cycles, std::move(hook));
-    }
-
     /** Non-null after run() iff config.faults has a nonzero rate. */
     const FaultInjector *faults() const { return injector_.get(); }
     /** Non-null after run() iff config.invariants was set. */

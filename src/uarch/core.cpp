@@ -128,8 +128,6 @@ Core::run(uint64_t max_cycles)
     const bool may_fast_forward = params_.fast_forward &&
                                   !observer_ && !faults_ &&
                                   engine_->fastForwardSafe();
-    uint64_t hb_next =
-        hb_interval_ ? cycle_ + hb_interval_ : UINT64_MAX;
     while (!halted_ && cycle_ < max_cycles) {
         tick();
         if (retired_ != last_retired) {
@@ -160,13 +158,6 @@ Core::run(uint64_t max_cycles)
         if (may_fast_forward && !halted_)
             skipped =
                 tryFastForward(max_cycles, last_progress_cycle);
-        if (cycle_ >= hb_next) {
-            // Telemetry-only: the hook reads progress counters and
-            // publishes them out-of-band (sim/progress.h); nothing
-            // it does can feed back into machine state.
-            hb_hook_(cycle_, retired_);
-            hb_next = cycle_ + hb_interval_;
-        }
         if (wall_timeout_seconds_ > 0.0 &&
             ((cycle_ & 0x1fff) == 0 || skipped >= 0x2000)) {
             const std::chrono::duration<double> elapsed =

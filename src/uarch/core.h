@@ -92,10 +92,6 @@ class Core
 
     using CommitHook = std::function<void(const DynInst &)>;
 
-    /** Periodic progress callback from run(): (cycles so far,
-     *  instructions retired so far). See setHeartbeat(). */
-    using HeartbeatHook = std::function<void(uint64_t, uint64_t)>;
-
     /** The program is copied, so temporaries are safe. */
     Core(Program program, const CoreParams &params,
          const MemorySystemParams &mem_params,
@@ -175,19 +171,6 @@ class Core
         wall_timeout_seconds_ = seconds;
     }
 
-    /** Arms a progress heartbeat: run() invokes @p hook roughly
-     *  every @p interval_cycles simulated cycles (checked between
-     *  ticks, so fast-forward jumps can overshoot — telemetry
-     *  precision, not simulation semantics). Unlike an observer the
-     *  heartbeat never disables fast-forward: it only *reads*
-     *  cycle/retire counts off the stats path, so it cannot perturb
-     *  simulated behaviour. interval 0 or a null hook disarms. */
-    void setHeartbeat(uint64_t interval_cycles, HeartbeatHook hook)
-    {
-        hb_interval_ = hook ? interval_cycles : 0;
-        hb_hook_ = std::move(hook);
-    }
-
     /** Installs the observability sink (nullptr detaches); also
      *  forwarded to the engine so it can emit taint events. Must be
      *  set before the first tick — observers never perturb simulated
@@ -227,9 +210,6 @@ class Core
     PipelineObserver *observer_ = nullptr;
     FaultHooks *faults_ = nullptr;
     double wall_timeout_seconds_ = 0.0;
-    /** Heartbeat (setHeartbeat); interval 0 = disarmed. */
-    uint64_t hb_interval_ = 0;
-    HeartbeatHook hb_hook_;
     /** Checkpoint drain barrier (armCheckpoint); 0 = disarmed.
      *  While armed and retired_ >= ckpt_retires_, fetch is
      *  suppressed so the pipeline drains. */

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for src/common: bit utilities, deterministic RNG,
- * statistics, and the sparse byte memory.
+ * statistics, the sparse byte memory, and leveled logging.
  */
 
 #include <gtest/gtest.h>
@@ -392,6 +392,32 @@ TEST(Logging, FatalThrows)
     EXPECT_THROW(SPT_PANIC("bug"), PanicError);
     EXPECT_THROW(SPT_ASSERT(1 == 2, "nope"), PanicError);
     EXPECT_NO_THROW(SPT_ASSERT(1 == 1, "fine"));
+}
+
+TEST(Logging, LevelsParseAndRoundTrip)
+{
+    EXPECT_EQ(parseLogLevel("debug"), LogLevel::kDebug);
+    EXPECT_EQ(parseLogLevel("info"), LogLevel::kInfo);
+    EXPECT_EQ(parseLogLevel("warn"), LogLevel::kWarn);
+    EXPECT_THROW(parseLogLevel("verbose"), FatalError);
+
+    const LogLevel before = logLevel();
+    setLogLevel(LogLevel::kWarn);
+    EXPECT_EQ(logLevel(), LogLevel::kWarn);
+    setLogLevel(before);
+
+    const bool ts = logTimestamps();
+    setLogTimestamps(!ts);
+    EXPECT_EQ(logTimestamps(), !ts);
+    setLogTimestamps(ts);
+}
+
+TEST(Logging, MonotonicSecondsAdvances)
+{
+    const double a = logMonotonicSeconds();
+    const double b = logMonotonicSeconds();
+    EXPECT_GE(a, 0.0);
+    EXPECT_GE(b, a);
 }
 
 } // namespace

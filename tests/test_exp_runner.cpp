@@ -2,8 +2,9 @@
  * @file
  * Parallel experiment runner (sim/exp_runner.h + common/parallel.h):
  * determinism across worker counts, memoization accounting,
- * exception-in-job propagation, and the memo-key sensitivity that
- * keeps distinct design points from merging.
+ * exception-in-job propagation, the job-key sensitivity that keeps
+ * distinct design points from merging, and the on-disk result cache
+ * including resuming a killed sweep.
  */
 
 #include <atomic>
@@ -120,18 +121,45 @@ TEST(ExpRunner, MemoizesDuplicateJobs)
     RunJob other = base;
     other.attack_model = AttackModel::kSpectre;
 
-    // 5 slots, 2 unique design points.
-    const std::vector<RunJob> grid = {base, other, base, base,
-                                      other};
+    // The job key is content-addressed: a content-identical program
+    // at a distinct address is the same design point.
+    const Program hashtab_copy = makeHashTable(300, 300);
+    RunJob twin_a = base;
+    twin_a.program = &programs.hashtab;
+    RunJob twin_b = base;
+    twin_b.program = &hashtab_copy;
+
+    // A wall-clock cap makes the outcome schedule-dependent, so such
+    // a job has no key and is never merged, not even with itself.
+    RunJob capped = base;
+    capped.wall_timeout_seconds = 600.0;
+
+    // 9 slots: 2 design points over 5 slots, a program twin pair, and
+    // two capped duplicates.
+    const std::vector<RunJob> grid = {base,   other,  base,
+                                      base,   other,  twin_a,
+                                      twin_b, capped, capped};
     ExpRunner runner(2);
     const std::vector<RunOutcome> out = runner.run(grid);
-    EXPECT_EQ(runner.lastSweep().unique_jobs, 2u);
-    EXPECT_EQ(runner.lastSweep().memo_hits, 3u);
+    EXPECT_EQ(runner.lastSweep().unique_jobs, 5u);
+    EXPECT_EQ(runner.lastSweep().memo_hits, 4u);
     expectSameOutcome(out[0], out[2], 2);
     expectSameOutcome(out[0], out[3], 3);
     expectSameOutcome(out[1], out[4], 4);
     // The two design points genuinely differ.
     EXPECT_NE(out[0].result.cycles, out[1].result.cycles);
+
+    EXPECT_FALSE(out[5].memoized);
+    EXPECT_TRUE(out[6].memoized);
+    EXPECT_EQ(out[6].host_seconds, 0.0);
+    expectSameOutcome(out[5], out[6], 6);
+
+    for (const size_t i : {size_t{7}, size_t{8}}) {
+        EXPECT_FALSE(out[i].memoized) << "slot " << i;
+        EXPECT_GT(out[i].host_seconds, 0.0) << "slot " << i;
+        EXPECT_EQ(out[i].status, RunStatus::kOk) << "slot " << i;
+    }
+    expectSameOutcome(out[7], out[8], 8);
 }
 
 TEST(ExpRunner, MemoHitsCarryNoHostTime)
@@ -164,69 +192,66 @@ TEST(ExpRunner, MemoHitsCarryNoHostTime)
 
 TEST(ExpRunner, JobKeyCoversEveryDescriptorField)
 {
+    // The runner's only dedup key is ResultCache::canonicalKey,
+    // whose field-by-field sensitivity is pinned in
+    // ResultCache.CanonicalKeyCoversEveryDescriptorField. Here the
+    // runner itself must give every single-field variant of a job
+    // its own simulation and merge only a label-only difference.
+    // keep_going: some variants fail on purpose (an empty knowledge
+    // map, a missing snapshot) and still count as their own job.
     const TestPrograms programs;
     RunJob job;
     job.program = &programs.pchase;
     job.engine.scheme = ProtectionScheme::kSpt;
 
-    EXPECT_EQ(jobKey(job), jobKey(job));
-
-    std::set<std::string> keys;
-    keys.insert(jobKey(job));
-    auto expect_fresh = [&](const RunJob &j, const char *what) {
-        EXPECT_TRUE(keys.insert(jobKey(j)).second)
-            << what << " not reflected in jobKey";
-    };
-
-    RunJob j = job;
-    j.program = &programs.hashtab;
-    expect_fresh(j, "program");
-    j = job;
-    j.engine.scheme = ProtectionScheme::kStt;
-    expect_fresh(j, "scheme");
-    j = job;
-    j.engine.spt.method = UntaintMethod::kIdeal;
-    expect_fresh(j, "untaint method");
-    j = job;
-    j.engine.spt.shadow = ShadowKind::kShadowMem;
-    expect_fresh(j, "shadow kind");
-    j = job;
-    j.engine.spt.broadcast_width = 7;
-    expect_fresh(j, "broadcast width");
-    j = job;
-    j.attack_model = AttackModel::kSpectre;
-    expect_fresh(j, "attack model");
-    j = job;
-    j.seed = 1;
-    expect_fresh(j, "seed");
-    j = job;
-    j.max_cycles = 12345;
-    expect_fresh(j, "max_cycles");
-    j = job;
-    j.trace = true;
-    expect_fresh(j, "trace");
-    j = job;
-    j.profile = true;
-    expect_fresh(j, "profile");
-    j = job;
-    j.interval_stats = 1000;
-    expect_fresh(j, "interval_stats");
-    j = job;
-    j.engine.spt.storage = SptConfig::Storage::kLegacy;
-    expect_fresh(j, "taint storage");
-    j = job;
-    j.fast_forward = true;
-    expect_fresh(j, "fast_forward");
-    j = job;
-    j.checkpoint_at = 1000;
-    expect_fresh(j, "checkpoint_at");
-    j = job;
-    j.checkpoint = "/tmp/somewhere.bin";
-    expect_fresh(j, "checkpoint path");
-    j = job;
     static const KnowledgeMap kMap;
-    j.engine.spt.knowledge_map = &kMap;
-    expect_fresh(j, "knowledge map");
+    std::vector<RunJob> grid = {job};
+    const auto vary = [&](auto &&mutate) {
+        RunJob j = job;
+        mutate(j);
+        grid.push_back(j);
+    };
+    vary([&](RunJob &j) { j.program = &programs.hashtab; });
+    vary([](RunJob &j) { j.engine.scheme = ProtectionScheme::kStt; });
+    vary([](RunJob &j) { j.engine.spt.method = UntaintMethod::kIdeal; });
+    vary([](RunJob &j) { j.engine.spt.shadow = ShadowKind::kShadowMem; });
+    vary([](RunJob &j) { j.engine.spt.broadcast_width = 7; });
+    vary([](RunJob &j) {
+        j.engine.spt.storage = SptConfig::Storage::kLegacy;
+    });
+    vary([](RunJob &j) {
+        j.engine.spt.mutation = SptConfig::Mutation::kLeakyMemGate;
+    });
+    vary([](RunJob &j) { j.engine.spt.knowledge_map = &kMap; });
+    vary([](RunJob &j) { j.attack_model = AttackModel::kSpectre; });
+    vary([](RunJob &j) { j.seed = 1; });
+    vary([](RunJob &j) { j.max_cycles = 12345; });
+    vary([](RunJob &j) { j.trace = true; });
+    vary([](RunJob &j) { j.profile = true; });
+    vary([](RunJob &j) { j.interval_stats = 1000; });
+    vary([](RunJob &j) { j.faults.seed = 7; });
+    vary([](RunJob &j) { j.faults.rate_ppm[0] = 100; });
+    vary([](RunJob &j) { j.invariants = true; });
+    vary([](RunJob &j) { j.watchdog_cycles = 4096; });
+    vary([](RunJob &j) { j.fast_forward = true; });
+    vary([](RunJob &j) { j.checkpoint_at = 1000; });
+    vary([](RunJob &j) {
+        j.checkpoint = "/nonexistent/spt-no-such-snapshot.bin";
+    });
+    vary([](RunJob &j) { j.wall_timeout_seconds = 600.0; });
+    const size_t variants = grid.size();
+    vary([](RunJob &j) { j.label = "a pretty name"; });
+
+    RunnerPolicy policy;
+    policy.keep_going = true;
+    ExpRunner runner(2);
+    const std::vector<RunOutcome> out = runner.run(grid, policy);
+    EXPECT_EQ(runner.lastSweep().unique_jobs, variants);
+    EXPECT_EQ(runner.lastSweep().memo_hits, 1u);
+    for (size_t i = 0; i < variants; ++i)
+        EXPECT_FALSE(out[i].memoized) << "variant " << i;
+    EXPECT_TRUE(out.back().memoized);
+    EXPECT_EQ(out.back().job_desc, "a pretty name");
 }
 
 TEST(ExpRunner, NullProgramFailsTheSweep)
@@ -443,9 +468,8 @@ TEST(ResultCache, VerifyModeDetectsPoisonedEntry)
 
 TEST(ResultCache, CanonicalKeyIsContentAddressed)
 {
-    // Two content-identical programs at distinct addresses: the
-    // pointer-based memo key must separate them, the
-    // content-addressed key must merge them.
+    // Two content-identical programs at distinct addresses share
+    // one key; different content does not.
     const Program a = makePointerChase(256, 1);
     const Program b = makePointerChase(256, 1);
     const Program c = makePointerChase(300, 1);
@@ -453,7 +477,6 @@ TEST(ResultCache, CanonicalKeyIsContentAddressed)
     ja.program = &a;
     jb.program = &b;
     jc.program = &c;
-    EXPECT_NE(jobKey(ja), jobKey(jb));
     EXPECT_EQ(ResultCache::canonicalKey(ja),
               ResultCache::canonicalKey(jb));
     EXPECT_NE(ResultCache::canonicalKey(ja),
@@ -549,6 +572,29 @@ TEST(ResultCache, CanonicalKeyCoversEveryDescriptorField)
     j = job;
     j.checkpoint_at = 1000;
     expect_fresh(j, "checkpoint_at");
+
+    // The checkpoint enters the key by content, not by path:
+    // rewriting the bytes at one path changes the key, and two paths
+    // holding equal bytes share one.
+    const std::string dir = freshCacheDir("spt_key_ckpt");
+    std::filesystem::create_directories(dir);
+    const auto write_file = [](const std::string &path,
+                               const std::string &bytes) {
+        std::ofstream(path, std::ios::binary) << bytes;
+    };
+    const std::string path_a = dir + "/a.bin";
+    const std::string path_b = dir + "/b.bin";
+    write_file(path_a, "snapshot one");
+    j = job;
+    j.checkpoint = path_a;
+    expect_fresh(j, "checkpoint content");
+    const std::string key_one = ResultCache::canonicalKey(j);
+    write_file(path_a, "snapshot two");
+    expect_fresh(j, "rewritten checkpoint content");
+    write_file(path_b, "snapshot one");
+    j.checkpoint = path_b;
+    EXPECT_EQ(ResultCache::canonicalKey(j), key_one);
+
     // label is documentation, not identity — same key.
     j = job;
     j.label = "a pretty name";
@@ -582,6 +628,48 @@ TEST(ResultCache, FailedOutcomesAreNotStored)
     RunnerPolicy fail_fast = policy;
     fail_fast.keep_going = false;
     EXPECT_THROW(runner.run(grid, fail_fast), PanicError);
+}
+
+TEST(ResultCache, ResumeAfterKillReSimulatesOnlyLostSlots)
+{
+    // The runner stores each clean slot the moment it finishes, so a
+    // sweep killed after k stores leaves exactly those k entries —
+    // plus, at worst, one torn temp file from a store in progress.
+    // Rerunning the full grid on that cache must serve the k slots,
+    // re-simulate every other one, and reproduce an uninterrupted
+    // run byte for byte, at any worker count.
+    const TestPrograms programs;
+    const std::vector<RunJob> grid = mixedGrid(programs);
+    constexpr size_t kStored = 7;
+    const std::vector<RunJob> prefix(grid.begin(),
+                                     grid.begin() + kStored);
+    const std::vector<RunOutcome> reference = ExpRunner(1).run(grid);
+
+    for (const unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE(testing::Message() << workers << " worker(s)");
+        RunnerPolicy policy;
+        policy.cache_dir = freshCacheDir("spt_cache_resume");
+        ExpRunner(1).run(prefix, policy);
+
+        const ResultCache cache(policy.cache_dir,
+                                CacheMode::kReadOnly);
+        const std::string torn =
+            cache.entryPath(ResultCache::canonicalKey(grid[kStored])) +
+            ".tmp0";
+        std::ofstream(torn, std::ios::binary) << "SPTRES01 torn";
+
+        ExpRunner runner(workers);
+        const std::vector<RunOutcome> resumed = runner.run(grid, policy);
+        EXPECT_EQ(runner.lastSweep().cache.hits, kStored);
+        EXPECT_EQ(runner.lastSweep().cache.misses,
+                  grid.size() - kStored);
+        ASSERT_EQ(resumed.size(), reference.size());
+        for (size_t i = 0; i < grid.size(); ++i)
+            EXPECT_EQ(
+                ResultCache::encodeOutcomeDeterministic(resumed[i]),
+                ResultCache::encodeOutcomeDeterministic(reference[i]))
+                << "slot " << i;
+    }
 }
 
 TEST(JsonWriter, StableFormattingAndEscaping)

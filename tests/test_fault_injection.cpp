@@ -101,7 +101,7 @@ TEST(FaultInjector, ZeroRateConsumesNoDrawsAndNeverFires)
 }
 
 // --------------------------------------------------------------------
-// Memo-key coverage of the new descriptor fields
+// Job-key coverage of the robustness descriptor fields
 // --------------------------------------------------------------------
 
 TEST(FaultInjection, JobKeyCoversRobustnessFields)
@@ -112,10 +112,10 @@ TEST(FaultInjection, JobKeyCoversRobustnessFields)
     job.engine.scheme = ProtectionScheme::kSpt;
 
     std::set<std::string> keys;
-    keys.insert(jobKey(job));
+    keys.insert(ResultCache::canonicalKey(job));
     auto expect_fresh = [&](const RunJob &j, const char *what) {
-        EXPECT_TRUE(keys.insert(jobKey(j)).second)
-            << what << " not reflected in jobKey";
+        EXPECT_TRUE(keys.insert(ResultCache::canonicalKey(j)).second)
+            << what << " not reflected in canonicalKey";
     };
 
     RunJob j = job;
@@ -134,16 +134,19 @@ TEST(FaultInjection, JobKeyCoversRobustnessFields)
     j.watchdog_cycles = 500;
     expect_fresh(j, "watchdog_cycles");
     j = job;
-    j.wall_timeout_seconds = 1.5;
-    expect_fresh(j, "wall_timeout_seconds");
-    j = job;
     j.engine.spt.mutation = SptConfig::Mutation::kLeakyMemGate;
     expect_fresh(j, "mutation");
+
+    // A wall-clock cap makes the outcome schedule-dependent: the job
+    // gets no key, so the runner never merges it with another slot.
+    j = job;
+    j.wall_timeout_seconds = 1.5;
+    EXPECT_EQ(ResultCache::canonicalKey(j), "");
 
     // The label is presentation, not a design point: equal keys.
     j = job;
     j.label = "pretty name";
-    EXPECT_FALSE(keys.insert(jobKey(j)).second);
+    EXPECT_FALSE(keys.insert(ResultCache::canonicalKey(j)).second);
 }
 
 // --------------------------------------------------------------------

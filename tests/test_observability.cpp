@@ -216,13 +216,14 @@ TEST(ExpRunnerObservability, ArtifactsIdenticalAcrossWorkerCounts)
             << "slot " << i;
     }
 
-    // Observability flags are part of the memo key: a traced and an
+    // Observability flags are part of the job key: a traced and an
     // untraced run of the same design point may not share a slot.
     RunJob untraced = grid[0];
     untraced.trace = false;
     untraced.profile = false;
     untraced.interval_stats = 0;
-    EXPECT_NE(jobKey(grid[0]), jobKey(untraced));
+    EXPECT_NE(ResultCache::canonicalKey(grid[0]),
+              ResultCache::canonicalKey(untraced));
 }
 
 TEST(TraceChecker, AcceptsWellFormedAndRejectsMalformed)

@@ -17,26 +17,12 @@
  * checker must flag — a campaign that cannot catch a planted bug
  * proves nothing by staying silent.
  *
- * Service-layer chaos (sim/service_chaos.h, DESIGN.md §16):
- *
- *   spt_chaos --service [--sweepd PATH] [--work-dir DIR]
- *             [--jobs N] [--deadline SECONDS] [--out FILE]
- *
- * campaigns the *sweep service* instead of the simulated machine:
- * a real spt_sweepd child (resolved from --sweepd, $SPT_SWEEPD_BIN,
- * or next to this binary) is attacked with truncated frames,
- * connection resets, slow-loris stalls, kill -9 plus journaled
- * restart, and journal/cache bit-rot; the verdict is zero divergent
- * results and zero daemon aborts. The service report JSON is not
- * byte-deterministic (retry counts are timing dependent) — CI
- * uploads it as an artifact rather than cmp-pinning it.
- *
  * Exit codes: 0 campaign clean (and, with --mutate, the planted bug
  * was detected); 1 the campaign found divergences/violations or the
  * planted bug escaped; 2 usage errors; 70 internal errors.
  *
- * The fault-campaign JSON (--out, default spt_chaos.json) is
- * byte-identical for any --jobs value; CI pins this with cmp.
+ * The campaign JSON (--out, default spt_chaos.json) is byte-identical
+ * for any --jobs value; CI pins this with cmp.
  */
 
 #include <cstdio>
@@ -47,7 +33,6 @@
 #include "common/json.h"
 #include "common/logging.h"
 #include "sim/chaos.h"
-#include "sim/service_chaos.h"
 
 using namespace spt;
 
@@ -74,18 +59,7 @@ usage(const char *argv0)
         "  --out <file>           campaign JSON (default\n"
         "                         spt_chaos.json)\n"
         "  --diagnostics-dir <d>  write per-failure DiagnosticReport\n"
-        "                         JSON files\n"
-        "  --service              campaign the sweep service instead\n"
-        "                         (transport faults, kill -9 +\n"
-        "                         journaled restart, bit-rot)\n"
-        "  --sweepd <path>        spt_sweepd binary for --service\n"
-        "                         (default: $SPT_SWEEPD_BIN, then a\n"
-        "                         sibling of this binary)\n"
-        "  --work-dir <d>         --service scratch dir (logs,\n"
-        "                         journals, caches; kept for CI\n"
-        "                         upload)\n"
-        "  --deadline <s>         --service per-scenario client\n"
-        "                         budget, seconds (default 120)\n",
+        "                         JSON files\n",
         argv0);
     std::exit(2);
 }
@@ -114,8 +88,6 @@ struct Options {
     bool full = false;
     std::string out_path = "spt_chaos.json";
     std::string diagnostics_dir;
-    bool service = false;
-    ServiceChaosConfig service_cfg;
 };
 
 /** Strict argument parsing; runs inside the toolMain guard so a
@@ -165,19 +137,7 @@ parse(int argc, char **argv)
             out_path = needValue(argc, argv, i);
         else if (a == "--diagnostics-dir")
             diagnostics_dir = needValue(argc, argv, i);
-        else if (a == "--service")
-            opt.service = true;
-        else if (a == "--sweepd")
-            opt.service_cfg.sweepd_binary =
-                needValue(argc, argv, i);
-        else if (a == "--work-dir")
-            opt.service_cfg.work_dir = needValue(argc, argv, i);
-        else if (a == "--deadline") {
-            opt.service_cfg.deadline_seconds = parseDouble(
-                needValue(argc, argv, i), "--deadline");
-            if (opt.service_cfg.deadline_seconds <= 0.0)
-                SPT_FATAL("--deadline must be positive");
-        } else if (a == "--help" || a == "-h")
+        else if (a == "--help" || a == "-h")
             usage(argv[0]);
         else {
             std::fprintf(stderr, "unknown option: %s\n", a.c_str());
@@ -195,35 +155,6 @@ main(int argc, char **argv)
     setVerbose(false);
     return toolMain("spt_chaos", [&] {
         const Options opt = parse(argc, argv);
-
-        if (opt.service) {
-            ServiceChaosConfig scfg = opt.service_cfg;
-            if (opt.cfg.jobs != 0)
-                scfg.daemon_jobs = opt.cfg.jobs;
-            const ServiceChaosResult r =
-                runServiceChaosCampaign(scfg);
-            const std::string out = opt.out_path == "spt_chaos.json"
-                                        ? "spt_service_chaos.json"
-                                        : opt.out_path;
-            writeReportFile(out, r.json);
-            std::printf("service chaos: %llu scenario(s)\n",
-                        static_cast<unsigned long long>(
-                            r.summary.scenarios));
-            std::printf("  divergent results    : %llu\n",
-                        static_cast<unsigned long long>(
-                            r.summary.divergent_results));
-            std::printf("  daemon aborts        : %llu\n",
-                        static_cast<unsigned long long>(
-                            r.summary.daemon_aborts));
-            std::printf("  scenario failures    : %llu\n",
-                        static_cast<unsigned long long>(
-                            r.summary.failures));
-            std::printf("report written to %s\n", out.c_str());
-            if (!r.summary.clean())
-                std::printf("campaign verdict: DIRTY\n");
-            return r.summary.clean() ? 0 : 1;
-        }
-
         ChaosConfig cfg = opt.cfg;
         const bool full = opt.full;
         const std::string &out_path = opt.out_path;

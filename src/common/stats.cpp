@@ -130,6 +130,8 @@ StatSet::reset()
 {
     counters_.clear();
     histograms_.clear();
+    counter_slots_.clear();
+    histogram_slots_.clear();
 }
 
 void

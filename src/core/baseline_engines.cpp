@@ -37,7 +37,7 @@ SttEngine::rootLive(SeqNum root) const
 {
     if (root == 0)
         return false;
-    const DynInstPtr d = core_->findInst(root);
+    const DynInst *d = core_->findInst(root);
     // Retired or squashed roots no longer taint; a root that reached
     // the VP s-untaints all dependents in the same cycle (STT's
     // single-cycle untaint).

@@ -234,8 +234,7 @@ InferabilityAuditor::propagateOnce()
         // engine only propagates untaint when STLPublic holds, i.e.
         // the attacker knows the pair; model the value flow.
         if (d->is_load && d->forwarded && !knows(d->prd)) {
-            const DynInstPtr st =
-                core_.findInst(d->forwarding_store);
+            const DynInst *st = core_.findInst(d->forwarding_store);
             if (st && st->addr_known && knows(st->prs2)) {
                 const uint64_t raw =
                     knownValue(st->prs2) >>

@@ -28,6 +28,22 @@ fnv(uint64_t &h, uint64_t v)
     }
 }
 
+constexpr uint64_t kFnvPrime8 = [] {
+    uint64_t p = 1;
+    for (int i = 0; i < 8; ++i)
+        p *= kFnvPrime;
+    return p;
+}();
+
+/** fnv(h, byte) in one multiply: the seven zero high bytes leave h
+ *  unchanged by their xor, so their rounds only multiply by the
+ *  prime. */
+void
+fnvByte(uint64_t &h, uint8_t byte)
+{
+    h = (h ^ byte) * kFnvPrime8;
+}
+
 void
 putU64(std::ostream &os, uint64_t v)
 {
@@ -154,7 +170,7 @@ KnowledgeMap::fingerprintOf(const Program &p)
         fnv(h, addr);
         fnv(h, seg.size());
         for (uint8_t byte : seg)
-            fnv(h, byte);
+            fnvByte(h, byte);
     }
     for (const SecretRange &r : p.secretRanges()) {
         fnv(h, r.base);

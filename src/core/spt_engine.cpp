@@ -993,11 +993,10 @@ SptEngine::broadcastPhase()
     // Drain raised flags in arbitration order (a head-to-tail bitmap
     // scan: older instruction first, destination before sources) up
     // to the structural width.
-    std::vector<Broadcast> chosen;
-    chosen.reserve(width);
+    chosen_.clear();
     uint64_t pos;
     unsigned k;
-    while (chosen.size() < width &&
+    while (chosen_.size() < width &&
            pending_flags_.first(head_, tail_, pos, k)) {
         Entry &e = entryAt(pos);
         SPT_ASSERT(e.live, "pending flag references a freed slot");
@@ -1007,7 +1006,7 @@ SptEngine::broadcastPhase()
         if (reg == kNoPhysReg || reg == PhysRegFile::kZeroReg)
             continue;
         Broadcast *dup = nullptr;
-        for (Broadcast &b : chosen)
+        for (Broadcast &b : chosen_)
             if (b.reg == reg)
                 dup = &b;
         if (dup) {
@@ -1017,9 +1016,9 @@ SptEngine::broadcastPhase()
             dup->mask &= slotMask(e.it, slot);
             continue;
         }
-        chosen.push_back({reg, slotMask(e.it, slot)});
+        chosen_.push_back({reg, slotMask(e.it, slot)});
     }
-    for (const Broadcast &b : chosen)
+    for (const Broadcast &b : chosen_)
         applyBroadcast(b.reg, b.mask);
 }
 

@@ -266,11 +266,13 @@ class SptEngine : public SecurityEngine
     RingBitmap stl_candidates_;
     RingBitmap shadow_candidates_;
 
-    // Scratch for the per-cycle broadcast phase.
+    // Scratch for the per-cycle broadcast phase, kept as a member so
+    // the phase allocates nothing once it has reached full width.
     struct Broadcast {
         PhysReg reg;
         TaintMask mask;
     };
+    std::vector<Broadcast> chosen_;
 
     /** Registers whose master taint shrank this cycle (Figure 9). */
     unsigned untainted_regs_this_cycle_ = 0;

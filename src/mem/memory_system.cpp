@@ -4,6 +4,15 @@
 
 namespace spt {
 
+namespace {
+
+/** hits_level_<n> for the miss path's hit levels 2..4, so charging
+ *  a miss builds no string. */
+constexpr const char *kMissHitLevelStat[] = {
+    "hits_level_2", "hits_level_3", "hits_level_4"};
+
+} // namespace
+
 MemorySystem::MemorySystem(const MemorySystemParams &params)
     : params_(params), l1i_(params.l1i), l1d_(params.l1d),
       l2_(params.l2), l3_(params.l3), mshrs_(params.num_mshrs),
@@ -115,7 +124,7 @@ MemorySystem::access(uint64_t addr, AccessKind kind, uint64_t now)
     result.latency = latency;
     result.hit_level = hit_level;
     stats_.inc("l1_misses");
-    stats_.inc("hits_level_" + std::to_string(hit_level));
+    stats_.inc(kMissHitLevelStat[hit_level - 2]);
     return result;
 }
 

@@ -204,8 +204,7 @@ class Snapshotter::Codec
     static void
     getStats(Reader &r, StatSet &s)
     {
-        s.counters_.clear();
-        s.histograms_.clear();
+        s.reset(); // also drops the slots cached into the old maps
         const uint64_t nc = r.u64();
         for (uint64_t i = 0; i < nc; ++i) {
             const std::string name = r.str();

@@ -29,13 +29,26 @@ Core::archReg(unsigned arch) const
     return prf_.value(rat_.lookup(static_cast<uint8_t>(arch)));
 }
 
-DynInstPtr
+DynInst *
 Core::findInst(SeqNum seq) const
 {
-    for (const DynInstPtr &d : rob_)
-        if (d->seq == seq)
-            return d;
-    return nullptr;
+    // Rename appends in seq order and squashes pop the tail, so the
+    // ROB is always sorted by seq.
+    const auto it = std::lower_bound(
+        rob_.begin(), rob_.end(), seq,
+        [](const DynInstPtr &d, SeqNum s) { return d->seq < s; });
+    return it != rob_.end() && (*it)->seq == seq ? it->get()
+                                                  : nullptr;
+}
+
+void
+Core::addSquashCandidate(const DynInstPtr &d)
+{
+    // Completion is out of order: insert at the seq position.
+    const auto pos = std::upper_bound(
+        squash_candidates_.begin(), squash_candidates_.end(), d->seq,
+        [](SeqNum s, const DynInstPtr &c) { return s < c->seq; });
+    squash_candidates_.insert(pos, d);
 }
 
 uint64_t
@@ -225,7 +238,7 @@ Core::quiescentCycle() const
         if (operandsReady(*d))
             return false;
     // Squash gates (stats-pure on every engine).
-    for (const DynInstPtr &d : rob_) {
+    for (const DynInstPtr &d : squash_candidates_) {
         if (d->squash_pending && engine_->mayResolveBranch(*d))
             return false;
         if (d->mem_violation_pending &&
@@ -259,7 +272,7 @@ Core::accrueSkippedCycles(uint64_t k)
     // Exactly the stat charges k blocked ticks would have made, in
     // bulk. Structured like tick(): squash gates, then the LSU, then
     // rename and fetch stalls.
-    for (const DynInstPtr &d : rob_) {
+    for (const DynInstPtr &d : squash_candidates_) {
         if (d->squash_pending)
             delay_branch_cycles_ += k;
         if (d->mem_violation_pending)
@@ -588,6 +601,7 @@ Core::completeInst(const DynInstPtr &d)
         if (d->actual_next_pc != d->pred_next_pc) {
             d->mispredicted = true;
             d->squash_pending = true;
+            addSquashCandidate(d);
             stats_.inc("branch.mispredicts");
         } else {
             stats_.inc("branch.correct");
@@ -600,6 +614,7 @@ Core::completeInst(const DynInstPtr &d)
                 // them as unresolved until squash_pending clears,
                 // so no instruction past the VP is ever squashed.
                 d->squash_pending = true;
+                addSquashCandidate(d);
                 stats_.inc("fault.extra_squashes");
             }
         }

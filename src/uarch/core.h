@@ -133,8 +133,10 @@ class Core
     const std::vector<DynInstPtr> &loadQueue() const { return lq_; }
     const std::vector<DynInstPtr> &storeQueue() const { return sq_; }
 
-    /** Finds an in-flight (non-squashed) instruction by seq. */
-    DynInstPtr findInst(SeqNum seq) const;
+    /** Finds an in-flight (non-squashed) instruction by seq:
+     *  a binary search over the seq-ordered ROB; nullptr if absent.
+     *  The pointer is valid until the instruction leaves the ROB. */
+    DynInst *findInst(SeqNum seq) const;
 
     MemorySystem &memorySystem() { return memsys_; }
     ByteMemory &memory() { return mem_; }
@@ -229,6 +231,13 @@ class Core
 
     // Backend structures.
     std::deque<DynInstPtr> rob_;
+    /** The ROB instructions with squash_pending or
+     *  mem_violation_pending set, in seq order: the squash gates
+     *  walk this instead of the ROB. An instruction joins where its
+     *  flag is set (addSquashCandidate) and leaves when the flag
+     *  clears or it is squashed; a flagged instruction cannot
+     *  commit, so no other exit exists. */
+    std::vector<DynInstPtr> squash_candidates_;
     std::vector<DynInstPtr> rs_;
     std::vector<DynInstPtr> lq_;
     std::vector<DynInstPtr> sq_;
@@ -269,6 +278,9 @@ class Core
      *  single call site per gate is what makes the profiler's
      *  attributed total exactly equal delay.total_cycles. */
     void noteTransmitterDelay(const DynInst &d, DelayKind kind);
+    /** Inserts @p d, whose squash flag was just set, into
+     *  squash_candidates_ at its seq position. */
+    void addSquashCandidate(const DynInstPtr &d);
     void completeInst(const DynInstPtr &d);
     void completeLoadData(const DynInstPtr &d);
     bool tryLoadAccess(const DynInstPtr &d);

@@ -173,7 +173,7 @@ Core::completeLoadData(const DynInstPtr &ld)
 {
     uint64_t raw;
     if (ld->forwarded) {
-        const DynInstPtr st = findInst(ld->forwarding_store);
+        const DynInst *st = findInst(ld->forwarding_store);
         if (st) {
             raw = st->store_data >>
                   (8 * (ld->eff_addr - st->eff_addr));
@@ -216,6 +216,7 @@ Core::checkViolationsFromStore(const DynInstPtr &st)
         if (ld->forwarded && ld->forwarding_store > st->seq)
             continue;
         ld->mem_violation_pending = true;
+        addSquashCandidate(ld);
         ld->violating_store_pc = st->pc;
         stats_.inc("lsu.violations_detected");
     }

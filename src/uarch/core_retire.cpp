@@ -78,17 +78,19 @@ Core::handleSquashes()
     // candidate older than the performed squash is charged one delay
     // cycle (candidates younger than it are squashed this cycle and
     // charge nothing — the same engine queries fire either way).
-    for (const DynInstPtr &d : rob_) {
+    // A squash edits the candidate list, so it gets its own
+    // reference to the instruction and the loop ends.
+    for (const DynInstPtr &d : squash_candidates_) {
         if (d->squash_pending) {
             if (engine_->mayResolveBranch(*d)) {
-                performControlSquash(d);
+                performControlSquash(DynInstPtr(d));
                 return;
             }
             noteTransmitterDelay(*d, DelayKind::kBranchResolve);
         }
         if (d->mem_violation_pending) {
             if (engine_->maySquashMemViolation(*d)) {
-                performMemSquash(d);
+                performMemSquash(DynInstPtr(d));
                 return;
             }
             noteTransmitterDelay(*d, DelayKind::kMemOrderSquash);
@@ -105,6 +107,12 @@ Core::performControlSquash(const DynInstPtr &branch)
         observer_->gateOpened(cycle_, *branch,
                               DelayKind::kBranchResolve);
     squashFrom(branch->seq + 1, branch->actual_next_pc, branch);
+    // The younger candidates went with the squash; the branch is now
+    // the youngest one and leaves with its cleared flag.
+    SPT_ASSERT(!squash_candidates_.empty() &&
+                   squash_candidates_.back() == branch,
+               "resolved branch missing from the squash candidates");
+    squash_candidates_.pop_back();
     bpu_.repair(branch->pc, branch->si, branch->exec.is_taken);
 }
 
@@ -169,6 +177,9 @@ Core::squashFrom(SeqNum first_squashed, uint64_t new_fetch_pc,
         rob_.pop_back();
         stats_.inc("squash.instructions");
     }
+    while (!squash_candidates_.empty() &&
+           squash_candidates_.back()->seq >= first_squashed)
+        squash_candidates_.pop_back();
     std::erase_if(rs_, [first_squashed](const DynInstPtr &d) {
         return d->seq >= first_squashed;
     });

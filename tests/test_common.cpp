@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/bit_util.h"
 #include "common/byte_memory.h"
@@ -151,6 +154,79 @@ TEST(Stats, CountersBasics)
     EXPECT_EQ(s.get("b"), 10u);
     s.reset();
     EXPECT_EQ(s.get("a"), 0u);
+
+    // A literal name: the fast path caches its slot under this
+    // address.
+    const char *const lit = "lit";
+
+    // Absent from counters() until the first increment.
+    EXPECT_EQ(s.counters().count("lit"), 0u);
+    s.inc(lit);
+    ASSERT_EQ(s.counters().count("lit"), 1u);
+    EXPECT_EQ(s.counters().at("lit"), 1u);
+
+    // A literal and a run-time string of the same name share one
+    // counter, in either order of first use.
+    s.inc(std::string("lit"), 2);
+    s.inc(lit);
+    s.inc(std::string("str"));
+    s.inc("str", 5);
+    EXPECT_EQ(s.get("lit"), 4u);
+    EXPECT_EQ(s.get("str"), 6u);
+    EXPECT_EQ(s.counters().size(), 2u);
+    s.histogram(lit, 4).record(1);
+    s.histogram(std::string("lit")).record(2);
+    EXPECT_EQ(s.histograms().size(), 1u);
+    EXPECT_EQ(s.histograms().at("lit").samples(), 2u);
+    EXPECT_EQ(s.histograms().at("lit").numBuckets(), 4u);
+
+    // After reset() a resolved name starts a fresh entry at 1 (under
+    // ASan a stale cached slot would be a use-after-free).
+    s.reset();
+    EXPECT_TRUE(s.counters().empty());
+    s.inc(lit);
+    EXPECT_EQ(s.counters().size(), 1u);
+    EXPECT_EQ(s.get("lit"), 1u);
+    s.histogram(lit).record(3);
+    EXPECT_EQ(s.histograms().at("lit").samples(), 1u);
+
+    // Increments on a copy never reach the original, whether the
+    // copy is constructed, assigned or moved.
+    StatSet copy = s;
+    copy.inc(lit, 10);
+    copy.histogram(lit).record(4);
+    StatSet assigned;
+    assigned.inc(lit);
+    assigned = s;
+    assigned.inc(lit, 20);
+    StatSet source = copy;
+    StatSet moved = std::move(source);
+    moved.inc(lit, 100);
+    EXPECT_EQ(s.get("lit"), 1u);
+    EXPECT_EQ(s.histograms().at("lit").samples(), 1u);
+    EXPECT_EQ(copy.get("lit"), 11u);
+    EXPECT_EQ(copy.histograms().at("lit").samples(), 2u);
+    EXPECT_EQ(assigned.get("lit"), 21u);
+    EXPECT_EQ(moved.get("lit"), 111u);
+}
+
+TEST(Stats, NamesPastTheSlotCacheStillCount)
+{
+    // More static names than the slot cache holds: the overflow
+    // takes the uncached map path and counts the same.
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> v;
+        for (int i = 0; i < 300; ++i)
+            v.push_back("name." + std::to_string(i));
+        return v;
+    }();
+    StatSet s;
+    for (int round = 0; round < 3; ++round)
+        for (const std::string &n : names)
+            s.inc(n.c_str(), round + 1);
+    ASSERT_EQ(s.counters().size(), names.size());
+    for (const std::string &n : names)
+        EXPECT_EQ(s.get(n), 6u) << n;
 }
 
 TEST(Stats, HistogramMeanAndCdf)

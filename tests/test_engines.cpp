@@ -149,7 +149,7 @@ TEST(SttEngine, RootTrackingThroughDataflow)
             if (d->pc == 22 && !d->squashed && !d->at_vp) {
                 // The dependent add chain: its source must be
                 // s-tainted while the root load is speculative.
-                DynInstPtr root = core.findInst(d->seq - 3);
+                const DynInst *root = core.findInst(d->seq - 3);
                 if (root && !root->at_vp && root->completed)
                     saw_tainted_chain =
                         saw_tainted_chain ||

@@ -142,6 +142,18 @@ TEST(KnowledgeMap, RejectsBitrot)
     EXPECT_THROW(KnowledgeMap::load(is), FatalError);
 }
 
+TEST(KnowledgeMap, ProgramFingerprintsArePinned)
+{
+    // The result-cache key embeds these fingerprints: a rewrite of
+    // fingerprintOf that changes any value rolls every cache key.
+    EXPECT_EQ(KnowledgeMap::fingerprintOf(
+                  workloadByName("ct-aes-bitslice").program),
+              0xb1c099256cae55feull);
+    EXPECT_EQ(KnowledgeMap::fingerprintOf(
+                  workloadByName("spmv").program),
+              0x70a8cde4bea65626ull);
+}
+
 // ---------------------------------------------------------------
 // Validation against a run
 // ---------------------------------------------------------------

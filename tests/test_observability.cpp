@@ -302,8 +302,9 @@ TEST(IntervalStats, SamplesCoverTheRunExactly)
         EXPECT_EQ(s.cycles, s.cycle - prev_cycle);
         // Every interval except the final partial one spans at
         // least the period.
-        if (&s != &samples.back())
+        if (&s != &samples.back()) {
             EXPECT_GE(s.cycles, 500u);
+        }
         prev_cycle = s.cycle;
         instructions += s.instructions;
     }

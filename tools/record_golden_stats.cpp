@@ -19,31 +19,100 @@
  * keys its persisted result cache on this listing, so a semantic
  * change invalidates the cache and a pure refactor keeps it warm.
  *
+ * --stats-hashes runs every golden case under every Table-2 config
+ * (sim_config.h table2Configs) and emits, per run, the FNV-1a hash of
+ * the complete Simulator::dumpStats output (stats.txt: every core,
+ * engine, memory and predictor counter and histogram) as the
+ * initializer tests/golden_stats_hashes.inc, consumed by
+ * tests/test_golden_stats.cpp:
+ *
+ *   build/tools/record_golden_stats --stats-hashes \
+ *       > tests/golden_stats_hashes.inc
+ *
  * Only re-record when an intentional semantic change shifts the
  * counters, and justify the delta in the PR description; pure
  * performance work on the SPT engine must leave them untouched.
  */
 
 #include <cstdio>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "sim/exp_runner.h"
 #include "sim/result_cache.h"
+#include "sim/simulator.h"
 #include "workloads/golden_suite.h"
 
 using namespace spt;
+
+namespace {
+
+uint64_t
+fnv1a(const std::string &text)
+{
+    uint64_t h = 1469598103934665603ull;
+    for (const char c : text) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/** The --stats-hashes mode: one line per (case, config) pair, in
+ *  suite-major order, byte-identical for any --jobs value. */
+int
+printStatsHashes(unsigned jobs)
+{
+    const std::vector<GoldenCase> &suite = goldenSuite();
+    const std::vector<NamedConfig> configs = table2Configs();
+    std::vector<uint64_t> hashes(suite.size() * configs.size());
+    parallelFor(hashes.size(), jobs, [&](size_t i) {
+        const GoldenCase &c = suite[i / configs.size()];
+        SimConfig cfg;
+        cfg.engine = configs[i % configs.size()].engine;
+        cfg.core.attack_model = c.model;
+        Simulator sim(c.program, cfg);
+        if (!sim.run().halted)
+            SPT_FATAL("golden case " << c.name << " did not halt");
+        std::ostringstream stats;
+        sim.dumpStats(stats);
+        hashes[i] = fnv1a(stats.str());
+    });
+
+    printf("// FNV-1a of Simulator::dumpStats (stats.txt) per golden "
+           "case x Table-2 config.\n");
+    printf("// Generated by tools/record_golden_stats --stats-hashes; "
+           "do not edit by hand.\n");
+    printf("// Regenerate: build/tools/record_golden_stats "
+           "--stats-hashes > tests/golden_stats_hashes.inc\n");
+    for (size_t i = 0; i < hashes.size(); ++i)
+        printf("{\"%s\", \"%s\", 0x%016llxull},\n",
+               suite[i / configs.size()].name.c_str(),
+               configs[i % configs.size()].name.c_str(),
+               static_cast<unsigned long long>(hashes[i]));
+    return 0;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
     setVerbose(false);
     bool fingerprints = false;
-    for (int i = 1; i < argc; ++i)
+    bool stats_hashes = false;
+    for (int i = 1; i < argc; ++i) {
         if (std::string(argv[i]) == "--fingerprints")
             fingerprints = true;
+        if (std::string(argv[i]) == "--stats-hashes")
+            stats_hashes = true;
+    }
     const unsigned jobs = jobsFromArgs(argc, argv);
+    if (stats_hashes)
+        return printStatsHashes(jobs);
 
     EngineConfig engine;
     engine.scheme = ProtectionScheme::kSpt;
@@ -66,17 +135,10 @@ main(int argc, char **argv)
         // the cached outcome for that case could change.
         printf("# golden-suite result-cache fingerprints "
                "(FNV-1a of ResultCache::canonicalKey)\n");
-        for (size_t i = 0; i < suite.size(); ++i) {
-            const std::string key =
-                ResultCache::canonicalKey(grid[i]);
-            uint64_t h = 1469598103934665603ull;
-            for (const char c : key) {
-                h ^= static_cast<unsigned char>(c);
-                h *= 1099511628211ull;
-            }
+        for (size_t i = 0; i < suite.size(); ++i)
             printf("%s %016llx\n", suite[i].name.c_str(),
-                   static_cast<unsigned long long>(h));
-        }
+                   static_cast<unsigned long long>(fnv1a(
+                       ResultCache::canonicalKey(grid[i]))));
         return 0;
     }
 

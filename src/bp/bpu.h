@@ -63,8 +63,6 @@ class BranchPredictorUnit
     StatSet &stats() { return stats_; }
 
   private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
-
     LtagePredictor ltage_;
     Btb btb_;
     ReturnAddressStack ras_;

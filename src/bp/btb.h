@@ -26,8 +26,6 @@ class Btb
     void update(uint64_t pc, uint64_t target);
 
   private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
-
     struct Entry {
         bool valid = false;
         uint64_t tag = 0;

@@ -42,8 +42,6 @@ class LoopPredictor
     uint32_t tripCount(uint64_t pc) const;
 
   private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
-
     struct Entry {
         uint32_t tag = 0;
         bool valid = false;

@@ -34,8 +34,6 @@ class LtagePredictor : public DirectionPredictor
     LoopPredictor &loopPredictor() { return loop_; }
 
   private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
-
     TagePredictor tage_;
     LoopPredictor loop_;
     SatCounter use_loop_{4, 8};

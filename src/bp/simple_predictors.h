@@ -30,8 +30,6 @@ class BimodalPredictor : public DirectionPredictor
     unsigned counterValue(uint64_t pc) const;
 
   private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
-
     unsigned index_bits_;
     std::vector<SatCounter> table_;
 

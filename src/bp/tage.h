@@ -49,8 +49,6 @@ class HistoryRegister
     void setHead(uint64_t h) { head_ = h; }
 
   private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
-
     std::vector<uint8_t> bits_;
     uint64_t head_ = 0;
 };
@@ -114,8 +112,6 @@ class TagePredictor : public DirectionPredictor
     const TageConfig &config() const { return config_; }
 
   private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
-
     struct Entry {
         uint16_t tag = 0;
         SatCounter ctr{3, 4};     ///< 3-bit, >=4 means taken

@@ -42,8 +42,6 @@ class ByteMemory
     void clear() { pages_.clear(); }
 
   private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
-
     using Page = std::array<uint8_t, kPageBytes>;
 
     std::unordered_map<uint64_t, std::unique_ptr<Page>> pages_;

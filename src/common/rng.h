@@ -49,8 +49,6 @@ class Rng
     bool nextBool(double p = 0.5);
 
   private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
-
     uint64_t s_[4];
 
     static uint64_t splitMix64(uint64_t &x);

@@ -60,7 +60,6 @@ class Histogram
     void reset();
 
   private:
-    friend class Snapshotter;  // checkpoint wire format (sim/snapshot)
     friend class ResultCache;  // result-record wire format
                                // (sim/result_cache)
 
@@ -124,8 +123,6 @@ class StatSet
     void dumpJson(JsonWriter &jw) const;
 
   private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
-
     /** Open-addressed table from a name's address to its map slot.
      *  It never evicts: past kMaxUsed names, further names take the
      *  uncached map path. Copies and moves start empty, because the

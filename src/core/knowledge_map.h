@@ -85,8 +85,10 @@ class KnowledgeMap
     /** Total robust register facts (popcount over all pcs). */
     uint64_t totalFacts() const;
 
-    /** FNV-1a over the header and every per-pc mask; stamped into
-     *  checkpoints so a restore under a different map is refused. */
+    /** FNV-1a over the header and every per-pc mask: the file's
+     *  integrity trailer and the `km=` component of the result-cache
+     *  key (sim/result_cache.h), so runs under different maps never
+     *  share a cache entry. */
     uint64_t contentHash() const;
 
     /** SPT_FATAL unless the map was built over @p program and its
@@ -107,10 +109,9 @@ class KnowledgeMap
 
     /** Content fingerprint binding a map to a program: FNV-1a over
      *  the instruction stream (all fields), entry pc, data segments
-     *  (addresses and bytes), and secret ranges. Deliberately
-     *  stronger than the checkpoint fingerprint (sim/snapshot.cpp),
-     *  which only compares shapes: a stale map over same-shaped
-     *  different code must be rejected. */
+     *  (addresses and bytes), and secret ranges. It covers content,
+     *  not just shape: a stale map over same-shaped different code
+     *  must be rejected. */
     static uint64_t fingerprintOf(const Program &program);
 
     bool operator==(const KnowledgeMap &) const = default;

@@ -186,12 +186,6 @@ class SptEngine : public SecurityEngine
     const InstTaint *instTaint(SeqNum seq) const;
     const SptConfig &config() const { return cfg_; }
     DataTaintStore &taintStore() { return *taint_store_; }
-    /** True iff the value in @p reg has been VP-declassified (the
-     *  knowledge-map preclear precondition; see SptConfig). */
-    bool valueArmed(PhysReg reg) const
-    {
-        return reg != kNoPhysReg && armed_[reg] != 0;
-    }
 
     /** Test hook: apply an untaint broadcast for @p reg as if the
      *  broadcast phase had selected it this cycle. */
@@ -201,8 +195,6 @@ class SptEngine : public SecurityEngine
     }
 
   private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
-
     /** One taint-storage slot, ring-buffer-parallel to a ROB slot. */
     struct Entry {
         InstTaint it;

@@ -28,8 +28,7 @@ class TaintMask
 
     static constexpr TaintMask none() { return TaintMask{0}; }
     static constexpr TaintMask all() { return TaintMask{0xf}; }
-    /** Rebuilds a mask from raw() group bits (bitplane gather and
-     *  snapshot restore). */
+    /** Rebuilds a mask from raw() group bits (bitplane gather). */
     static constexpr TaintMask
     fromRaw(uint8_t bits)
     {

@@ -88,8 +88,6 @@ class ShadowL1 : public DataTaintStore, public CacheObserver
     StatSet &stats() { return stats_; }
 
   private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
-
     struct Entry {
         bool valid = false;
         uint64_t line_addr = 0;
@@ -128,8 +126,6 @@ class PackedShadowL1 : public DataTaintStore, public CacheObserver
     StatSet &stats() { return stats_; }
 
   private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
-
     struct Entry {
         bool valid = false;
         uint64_t line_addr = 0;
@@ -174,8 +170,6 @@ class ShadowMemory : public DataTaintStore
     size_t residentPages() const { return pages_.size(); }
 
   private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
-
     /** 1 = untainted (memory defaults to tainted). */
     std::unordered_map<uint64_t, std::vector<uint8_t>> pages_;
 
@@ -198,8 +192,6 @@ class PackedShadowMemory : public DataTaintStore
     size_t residentPages() const { return pages_.size(); }
 
   private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
-
     /** Bit set = untainted (memory defaults to tainted). */
     std::unordered_map<uint64_t, std::vector<uint64_t>> pages_;
 

@@ -92,8 +92,6 @@ class SetAssocCache
     const StatSet &stats() const { return stats_; }
 
   private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
-
     struct Line {
         bool valid = false;
         uint64_t tag = 0;

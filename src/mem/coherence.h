@@ -50,8 +50,6 @@ class MesiDirectory
     StatSet &stats() { return stats_; }
 
   private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
-
     struct DirEntry {
         uint32_t sharers = 0;  ///< bitmask of agents holding the line
         int owner = -1;        ///< agent holding M/E, or -1

@@ -79,8 +79,6 @@ class MemorySystem
     SetAssocCache &l1i() { return l1i_; }
     SetAssocCache &l2() { return l2_; }
     SetAssocCache &l3() { return l3_; }
-    MshrFile &mshrs() { return mshrs_; }
-    MesiDirectory &directory() { return directory_; }
     const MeshNoc &noc() const { return noc_; }
 
     StatSet &stats() { return stats_; }

@@ -52,8 +52,6 @@ class MshrFile
     StatSet &stats() { return stats_; }
 
   private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
-
     struct Entry {
         uint64_t line_addr;
         uint64_t ready_cycle;

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <exception>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <unordered_map>
@@ -63,7 +62,6 @@ configFor(const RunJob &job)
         cfg.core.watchdog_cycles = job.watchdog_cycles;
     cfg.wall_timeout_seconds = job.wall_timeout_seconds;
     cfg.core.fast_forward = job.fast_forward;
-    cfg.checkpoint_at_retires = job.checkpoint_at;
     return cfg;
 }
 
@@ -108,18 +106,6 @@ tail(const std::string &text, std::size_t lines)
     return pos == 0 ? text : text.substr(pos + 1);
 }
 
-/** Restores @p job's snapshot into @p sim, if the job names one. */
-void
-restoreCheckpoint(Simulator &sim, const RunJob &job)
-{
-    if (job.checkpoint.empty())
-        return;
-    std::ifstream snap(job.checkpoint, std::ios::binary);
-    if (!snap)
-        SPT_FATAL("cannot open snapshot " << job.checkpoint);
-    sim.restoreSnapshot(snap);
-}
-
 /** Simulates @p job. An exception escaping the simulation becomes a
  *  kCrash outcome, with the exception itself kept in @p error. */
 RunOutcome
@@ -128,7 +114,6 @@ simulate(const RunJob &job, std::exception_ptr *error)
     RunOutcome out;
     try {
         Simulator sim(*job.program, configFor(job));
-        restoreCheckpoint(sim, job);
         std::ostringstream trace_text, trace_pipeview;
         if (job.trace)
             sim.enableTrace(&trace_text, &trace_pipeview);
@@ -172,7 +157,6 @@ captureEvidence(const RunJob &job, RunOutcome &out)
         SimConfig cfg = configFor(job);
         cfg.invariants = true;
         Simulator sim(*job.program, cfg);
-        restoreCheckpoint(sim, job);
         std::ostringstream text, pipeview;
         sim.enableTrace(&text, &pipeview);
         const SimResult r = sim.run();
@@ -226,10 +210,9 @@ ExpRunner::run(const std::vector<RunJob> &grid,
     // Deduplicate up front on the content key: unique jobs run on
     // the pool, duplicate slots are filled by copy afterwards. A
     // slot without a key is always its own unique job. Keys are
-    // computed here on the main thread: canonicalKey may read a
-    // checkpoint file, and the hash memo it fills is shared mutable
-    // state the pool workers must not touch (common/parallel.h
-    // contract).
+    // computed here on the main thread: the hash memo canonicalKey
+    // fills is shared mutable state the pool workers must not touch
+    // (common/parallel.h contract).
     KeyHashMemo memo;
     std::vector<std::string> keys(grid.size());
     std::vector<std::size_t> unique;       // grid indices to simulate

@@ -32,12 +32,11 @@
  * Duplicate jobs within a sweep are memoized: jobs with equal
  * content keys (ResultCache::canonicalKey — program content, every
  * engine-config field, attack model, seed, cycle limit, fault plan,
- * robustness knobs, observability flags, checkpoint bytes; not the
- * label) are simulated once and the outcome is copied into every
- * duplicate slot. This is what spares e.g. a normalized-overhead
- * grid from re-deriving its UnsafeBaseline column per normalization.
- * A job with no key (a wall-clock cap, an unreadable checkpoint)
- * is never merged with another slot.
+ * robustness knobs, observability flags; not the label) are
+ * simulated once and the outcome is copied into every duplicate
+ * slot. This is what spares e.g. a normalized-overhead grid from
+ * re-deriving its UnsafeBaseline column per normalization. A job
+ * with no key (a wall-clock cap) is never merged with another slot.
  *
  * Cross-process reuse: with a cache directory configured
  * (RunnerPolicy::cache_dir or SPT_CACHE_DIR), each unique job is
@@ -121,15 +120,6 @@ struct RunJob {
      *  the fast-forward equivalence tests), but still part of the
      *  job key: the ff.* skip counters differ. */
     bool fast_forward = false;
-    /** Checkpoint drain barrier (SimConfig::checkpoint_at_retires);
-     *  0 disables. Set on both the snapshot-producing run and every
-     *  cold run that must be comparable to a restored one. */
-    uint64_t checkpoint_at = 0;
-    /** Path of a snapshot to restore before running (fork-from-
-     *  checkpoint sweeps); empty = cold start. SPT_FATAL if the file
-     *  cannot be read. The job key holds the file's content hash,
-     *  not the path. */
-    std::string checkpoint;
     /** Free-form name for reports ("pchase/SPT{Bwd,ShadowL1}").
      *  Not part of the job key: two jobs differing only by label
      *  are the same simulation. */

@@ -85,8 +85,6 @@ class FaultInjector : public FaultHooks
     std::map<std::string, uint64_t> counters() const;
 
   private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
-
     FaultPlan plan_;
     std::array<Rng, kNumFaultSites> streams_;
     std::array<uint64_t, kNumFaultSites> draws_{};

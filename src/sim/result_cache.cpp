@@ -1,10 +1,14 @@
 #include "sim/result_cache.h"
 
 #include <bit>
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+
+#include <unistd.h>
 
 #include "common/logging.h"
 #include "common/stats.h"
@@ -142,26 +146,33 @@ class Reader
     std::size_t pos_;
 };
 
-/** FNV-1a of a whole file; false if it cannot be read. */
+/** Writes @p bytes to a temp file beside @p path, then renames it
+ *  over @p path. mkstemp creates the temp file exclusively, under a
+ *  name no other writer holds, so concurrent stores — pool workers
+ *  or other processes sharing the directory — never write through
+ *  each other's files. False, with the temp file removed, on any
+ *  failure. */
 bool
-hashFile(const std::string &path, uint64_t *out)
+writeAtomically(const std::string &path, const std::string &bytes)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
+    std::string tmp = path + ".tmpXXXXXX";
+    const int fd = ::mkstemp(tmp.data());
+    if (fd < 0)
         return false;
-    uint64_t h = kFnvOffset;
-    char buf[65536];
-    for (;;) {
-        is.read(buf, sizeof buf);
-        const std::streamsize n = is.gcount();
-        if (n <= 0)
-            break;
-        h = fnvBytes(buf, static_cast<std::size_t>(n), h);
+    bool ok = true;
+    for (std::size_t done = 0; ok && done < bytes.size();) {
+        const ssize_t n =
+            ::write(fd, bytes.data() + done, bytes.size() - done);
+        if (n > 0)
+            done += static_cast<std::size_t>(n);
+        else
+            ok = n < 0 && errno == EINTR;
     }
-    if (is.bad())
-        return false;
-    *out = h;
-    return true;
+    ok = ::close(fd) == 0 && ok;
+    ok = ok && std::rename(tmp.c_str(), path.c_str()) == 0;
+    if (!ok)
+        std::remove(tmp.c_str());
+    return ok;
 }
 
 } // namespace
@@ -221,26 +232,6 @@ ResultCache::canonicalKey(const RunJob &job, KeyHashMemo *memo)
     if (!cacheable(job))
         return "";
 
-    uint64_t ckpt_hash = 0;
-    if (!job.checkpoint.empty()) {
-        // Content-address the snapshot too: the same path holding
-        // different bytes is a different design point.
-        bool have = false;
-        if (memo) {
-            const auto it = memo->checkpoints.find(job.checkpoint);
-            if (it != memo->checkpoints.end()) {
-                ckpt_hash = it->second;
-                have = true;
-            }
-        }
-        if (!have) {
-            if (!hashFile(job.checkpoint, &ckpt_hash))
-                return ""; // unreadable: the simulation will say so
-            if (memo)
-                memo->checkpoints[job.checkpoint] = ckpt_hash;
-        }
-    }
-
     uint64_t prog = 0;
     if (memo) {
         const auto [it, inserted] =
@@ -260,21 +251,22 @@ ResultCache::canonicalKey(const RunJob &job, KeyHashMemo *memo)
     // identity) and `wall_timeout_seconds` (capped jobs get no key
     // at all), with each by-reference component replaced by its
     // content hash. The observability flags participate: a traced
-    // run carries artifacts a plain run lacks. fast_forward and the
-    // checkpoint knobs participate although they are
-    // result-identical by contract: they change ff.* counters or
-    // where a run starts, and merging them would hide exactly the
-    // regressions the equivalence gates exist to catch. The "resv1"
-    // prefix versions the key schema itself: changing how keys are
-    // derived must not alias old entries, so this text must stay
-    // byte-stable for every existing field.
+    // run carries artifacts a plain run lacks. fast_forward
+    // participates although it is result-identical by contract: it
+    // changes the ff.* counters, and merging it would hide exactly
+    // the regressions the equivalence gates exist to catch. The
+    // "resv1" prefix versions the key schema itself: changing how
+    // keys are derived must not alias old entries, so this text must
+    // stay byte-stable for every existing field. That is why `ca=0`
+    // and `ck=0` remain as constants: they held the checkpoint knobs
+    // of a removed feature, and every key already on disk has them.
     char buf[512];
     int n = std::snprintf(
         buf, sizeof buf,
         "resv1|prog=%016" PRIx64 "|sch=%u|m=%u|sh=%u|bw=%u|st=%u"
         "|mut=%u|km=%016" PRIx64 "|am=%u|seed=%" PRIu64
         "|mc=%" PRIu64 "|tr=%u|pf=%u|iv=%" PRIu64 "|inv=%u"
-        "|wd=%" PRIu64 "|ff=%u|ca=%" PRIu64 "|fs=%" PRIu64,
+        "|wd=%" PRIu64 "|ff=%u|ca=0|fs=%" PRIu64,
         prog, static_cast<unsigned>(job.engine.scheme),
         static_cast<unsigned>(job.engine.spt.method),
         static_cast<unsigned>(job.engine.spt.shadow),
@@ -285,17 +277,14 @@ ResultCache::canonicalKey(const RunJob &job, KeyHashMemo *memo)
         job.max_cycles, static_cast<unsigned>(job.trace),
         static_cast<unsigned>(job.profile), job.interval_stats,
         static_cast<unsigned>(job.invariants), job.watchdog_cycles,
-        static_cast<unsigned>(job.fast_forward), job.checkpoint_at,
-        job.faults.seed);
+        static_cast<unsigned>(job.fast_forward), job.faults.seed);
     std::string key(buf, static_cast<std::size_t>(n));
     for (std::size_t i = 0; i < kNumFaultSites; ++i) {
         std::snprintf(buf, sizeof buf, "|f%zu=%u", i,
                       job.faults.rate_ppm[i]);
         key += buf;
     }
-    key += "|ck=";
-    key += job.checkpoint.empty() ? std::string("0")
-                                  : hex16(ckpt_hash);
+    key += "|ck=0";
     return key;
 }
 
@@ -497,25 +486,11 @@ ResultCache::store(const std::string &key, const RunOutcome &out)
     putU64(record, fnvBytes(record.data(), record.size()));
 
     const std::string path = entryPath(key);
-    std::string tmp;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        tmp = path + ".tmp" + std::to_string(tmp_seq_++);
-    }
-    bool ok = false;
-    {
-        std::ofstream os(tmp, std::ios::binary);
-        os.write(record.data(),
-                 static_cast<std::streamsize>(record.size()));
-        ok = static_cast<bool>(os);
-    }
-    if (ok)
-        ok = std::rename(tmp.c_str(), path.c_str()) == 0;
+    const bool ok = writeAtomically(path, record);
     std::lock_guard<std::mutex> lock(mutex_);
     if (ok) {
         stats_.bytes_written += record.size();
     } else {
-        std::remove(tmp.c_str());
         if (!write_failed_)
             warn("result cache: cannot write " + path +
                  " (suppressing further write warnings)");

@@ -7,20 +7,20 @@
  * full job descriptor into a stable text form in which every
  * by-reference component is replaced by a content hash — the
  * program fingerprint (KnowledgeMap::fingerprintOf: instruction
- * stream, entry, data segments, secret ranges), the knowledge-map
- * content hash, and a hash of the checkpoint snapshot bytes — plus
- * every scalar field of the descriptor (engine configuration,
- * attack model, seed, cycle budget, fault plan, observability
- * flags). Two jobs with equal canonical keys are the same pure
- * function: the simulator is deterministic and byte-identical at
- * any worker count, so serving a hit from disk is provably exact,
- * not approximate. `verify` mode makes that claim testable by
- * re-simulating hits and comparing the deterministic portion of
- * the outcome byte-for-byte. The same key is ExpRunner's in-sweep
- * dedup key (sim/exp_runner.h), so one notion of "same job" covers
- * both a grid's duplicate cells and reruns in later processes.
+ * stream, entry, data segments, secret ranges) and the
+ * knowledge-map content hash — plus every scalar field of the
+ * descriptor (engine configuration, attack model, seed, cycle
+ * budget, fault plan, observability flags). Two jobs with equal
+ * canonical keys are the same pure function: the simulator is
+ * deterministic and byte-identical at any worker count, so serving
+ * a hit from disk is provably exact, not approximate. `verify` mode
+ * makes that claim testable by re-simulating hits and comparing the
+ * deterministic portion of the outcome byte-for-byte. The same key
+ * is ExpRunner's in-sweep dedup key (sim/exp_runner.h), so one
+ * notion of "same job" covers both a grid's duplicate cells and
+ * reruns in later processes.
  *
- * Record format ("SPTRES01", following the SPTKMAP1/snapshot codec
+ * Record format ("SPTRES01", following the SPTKMAP1 codec
  * conventions): versioned, explicit little-endian, bounds-checked,
  * with the full canonical key embedded (64-bit filename hashes can
  * collide; the key comparison cannot) and an FNV-1a content-hash
@@ -36,18 +36,21 @@
  * cacheable at all (their outcome is schedule-dependent by
  * contract).
  *
- * Writes are atomic (temp file + rename), so concurrent writers —
- * pool workers, or several processes sharing one cache directory —
- * race benignly: both produce the same bytes for the same key. A
- * sweep killed mid-write leaves at most a stray `.tmp<N>` file,
- * which no lookup ever reads.
+ * Writes are atomic: each store writes a temp file it created
+ * exclusively (`<entry>.tmpXXXXXX`, mkstemp) and renames it over
+ * the entry. Concurrent writers — pool workers, or several
+ * processes sharing one cache directory — never touch each other's
+ * temp files, and the last rename wins. Their records may differ
+ * in host_seconds but not in anything deterministic, so whichever
+ * record wins serves the same outcome. Entries keep mkstemp's
+ * owner-only mode (0600). A sweep killed mid-write leaves at most a
+ * stray `.tmpXXXXXX` file, which no lookup ever reads.
  */
 
 #ifndef SPT_SIM_RESULT_CACHE_H
 #define SPT_SIM_RESULT_CACHE_H
 
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -73,13 +76,11 @@ const char *cacheModeName(CacheMode m);
 CacheMode parseCacheMode(const std::string &text);
 
 /** Content hashes canonicalKey has already derived within one grid:
- *  each distinct Program object is fingerprinted once and each
- *  checkpoint file hashed once, instead of once per cell. Valid
- *  only while those programs and files stay unchanged — one
- *  ExpRunner::run call. */
+ *  each distinct Program object is fingerprinted once instead of
+ *  once per cell. Valid only while those programs stay unchanged —
+ *  one ExpRunner::run call. */
 struct KeyHashMemo {
     std::unordered_map<const Program *, uint64_t> programs;
-    std::map<std::string, uint64_t> checkpoints;
 };
 
 /** Cache traffic of one sweep (SweepStats::cache). */
@@ -113,10 +114,8 @@ class ResultCache
     static bool cacheable(const RunJob &job);
 
     /** Stable content-addressed serialization of the descriptor;
-     *  "" when the job is uncacheable (including an unreadable
-     *  checkpoint file — the simulation itself will report that).
-     *  @p memo, when given, carries program fingerprints and
-     *  checkpoint-file hashes across the calls of one grid. */
+     *  "" when the job is uncacheable. @p memo, when given, carries
+     *  program fingerprints across the calls of one grid. */
     static std::string canonicalKey(const RunJob &job,
                                     KeyHashMemo *memo = nullptr);
 
@@ -142,9 +141,10 @@ class ResultCache
     bool lookup(const std::string &key, RunOutcome *out);
 
     /** Stores @p out under @p key (kReadWrite only; kOk outcomes
-     *  only — anything else is silently skipped). Atomic via temp
-     *  file + rename; an unwritable cache directory warns once
-     *  rather than failing the sweep. Thread-safe. */
+     *  only — anything else is silently skipped). Atomic via an
+     *  exclusively created temp file + rename; an unwritable cache
+     *  directory warns once rather than failing the sweep.
+     *  Thread-safe. */
     void store(const std::string &key, const RunOutcome &out);
 
     /** Records a verify-mode byte mismatch for @p key (also warns
@@ -158,7 +158,6 @@ class ResultCache
     CacheMode mode_;
     mutable std::mutex mutex_;
     CacheStats stats_;
-    uint64_t tmp_seq_ = 0; ///< unique temp-file suffix per store
     bool write_failed_ = false; ///< warn once, then stay quiet
 };
 

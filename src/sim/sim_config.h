@@ -42,13 +42,6 @@ struct SimConfig {
     /** Cooperative host wall-clock cap on run(); 0 disables. The
      *  outcome of a timed-out run is schedule-dependent. */
     double wall_timeout_seconds = 0.0;
-    /** Checkpoint drain barrier (sim/snapshot.h): when nonzero,
-     *  run() suppresses fetch once this many instructions have
-     *  retired, drains the pipeline, optionally serializes a
-     *  snapshot there (Simulator::writeSnapshotTo), and continues.
-     *  A restored run (Simulator::restoreSnapshot) resumes from the
-     *  barrier instead of passing through it. */
-    uint64_t checkpoint_at_retires = 0;
 };
 
 /** A named Table-2 design variant. */

@@ -3,7 +3,6 @@
 #include "common/json.h"
 #include "common/logging.h"
 #include "core/knowledge_map.h"
-#include "sim/snapshot.h"
 #include "uarch/invariant_checker.h"
 
 namespace spt {
@@ -69,27 +68,6 @@ Simulator::enableTrace(std::ostream *text, std::ostream *pipeview)
     tracer_ = std::make_unique<Tracer>(text, pipeview);
 }
 
-void
-Simulator::writeSnapshotTo(std::ostream *os)
-{
-    SPT_ASSERT(!ran_, "writeSnapshotTo must precede run()");
-    if (config_.checkpoint_at_retires == 0)
-        SPT_FATAL("writeSnapshotTo needs a checkpoint barrier "
-                  "(SimConfig::checkpoint_at_retires)");
-    snapshot_out_ = os;
-}
-
-void
-Simulator::restoreSnapshot(std::istream &is)
-{
-    SPT_ASSERT(!ran_, "restoreSnapshot must precede run()");
-    if (config_.lockstep_check)
-        SPT_FATAL("snapshot restore does not cover the lockstep "
-                  "reference CPU; disable lockstep_check");
-    Snapshotter::restore(*this, is);
-    restored_ = true;
-}
-
 SimResult
 Simulator::run()
 {
@@ -101,11 +79,7 @@ Simulator::run()
         intervals_ = std::make_unique<IntervalRecorder>(
             config_.interval_stats, &core_->engine());
     if (config_.faults.any()) {
-        // restoreSnapshot may already have built the injector to
-        // restore its RNG streams into.
-        if (!injector_)
-            injector_ =
-                std::make_unique<FaultInjector>(config_.faults);
+        injector_ = std::make_unique<FaultInjector>(config_.faults);
         core_->setFaultInjector(injector_.get());
     }
     if (config_.invariants) {
@@ -127,17 +101,6 @@ Simulator::run()
         core_->setObserver(&observers_);
     if (config_.wall_timeout_seconds > 0.0)
         core_->setWallTimeout(config_.wall_timeout_seconds);
-    if (config_.checkpoint_at_retires != 0 && !restored_) {
-        // The barrier is armed whether or not a snapshot is being
-        // written: passing through it is deterministic machine
-        // behavior, so a cold run with the barrier is the exact
-        // execution a restored run resumes.
-        std::function<void()> hook;
-        if (snapshot_out_ != nullptr)
-            hook = [this] { Snapshotter::save(*this, *snapshot_out_); };
-        core_->armCheckpoint(config_.checkpoint_at_retires,
-                             std::move(hook));
-    }
     const Core::RunResult r = core_->run(config_.max_cycles);
     if (tracer_)
         tracer_->finish(core_->cycle());

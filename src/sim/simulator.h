@@ -57,33 +57,8 @@ class Simulator
     Simulator(const Program &program, const SimConfig &config);
     ~Simulator();
 
-    /** Runs until HALT (or max_cycles); may be called once. When
-     *  config.checkpoint_at_retires is nonzero and no snapshot was
-     *  restored, the run passes through the drain barrier at that
-     *  retire count (and serializes a snapshot there if
-     *  writeSnapshotTo was armed). */
+    /** Runs until HALT (or max_cycles); may be called once. */
     SimResult run();
-
-    /**
-     * Arms snapshot serialization: when run() reaches the
-     * checkpoint_at_retires drain barrier, the full simulator state
-     * is written to @p os (sim/snapshot.h). Must be called before
-     * run(); the stream must outlive it. Requires
-     * config.checkpoint_at_retires != 0.
-     */
-    void writeSnapshotTo(std::ostream *os);
-
-    /**
-     * Restores a snapshot into this freshly constructed simulator;
-     * must precede run(), which then resumes from the checkpoint
-     * instead of passing through the barrier. The configuration must
-     * be snapshot-compatible (see Snapshotter::restore); lockstep
-     * checking is unsupported across a restore.
-     */
-    void restoreSnapshot(std::istream &is);
-
-    /** Whether run() will resume from a restored snapshot. */
-    bool restored() const { return restored_; }
 
     /**
      * Streams the taint-lifecycle trace of the run into @p text
@@ -128,8 +103,6 @@ class Simulator
     uint64_t stat(const std::string &name) const;
 
   private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
-
     const Program &program_;
     SimConfig config_;
     std::unique_ptr<Core> core_;
@@ -140,9 +113,7 @@ class Simulator
     std::unique_ptr<FaultInjector> injector_;
     std::unique_ptr<InvariantChecker> checker_;
     ObserverMux observers_;
-    std::ostream *snapshot_out_ = nullptr;
     bool ran_ = false;
-    bool restored_ = false;
     bool livelocked_ = false;
 };
 

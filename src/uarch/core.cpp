@@ -118,15 +118,6 @@ Core::noteTransmitterDelay(const DynInst &d, DelayKind kind)
                               engine_->delayCause(d, kind));
 }
 
-void
-Core::armCheckpoint(uint64_t retires, std::function<void()> hook)
-{
-    SPT_ASSERT(retires != 0, "checkpoint barrier needs a retire "
-                             "target");
-    ckpt_retires_ = retires;
-    ckpt_hook_ = std::move(hook);
-}
-
 Core::RunResult
 Core::run(uint64_t max_cycles)
 {
@@ -155,17 +146,6 @@ Core::run(uint64_t max_cycles)
             livelocked = true;
             stats_.inc("watchdog.livelocks");
             break;
-        }
-        if (ckpt_retires_ != 0 && !halted_ &&
-            retired_ >= ckpt_retires_ && drained()) {
-            // Checkpoint barrier reached: the machine is empty, so a
-            // snapshot needs no in-flight state. Disarm before the
-            // hook so fetch resumes on the next tick either way.
-            ckpt_retires_ = 0;
-            if (ckpt_hook_) {
-                ckpt_hook_();
-                ckpt_hook_ = nullptr;
-            }
         }
         uint64_t skipped = 0;
         if (may_fast_forward && !halted_)
@@ -346,11 +326,6 @@ void
 Core::fetchStage()
 {
     if (halted_ || cycle_ < fetch_stall_until_)
-        return;
-    // Checkpoint drain barrier: past the target retire count, stop
-    // feeding the pipeline so it empties (uarch/core.h
-    // armCheckpoint).
-    if (ckpt_retires_ != 0 && retired_ >= ckpt_retires_)
         return;
     if (fetch_queue_.size() >= params_.fetch_queue_size)
         return;

@@ -103,23 +103,6 @@ class Core
     /** Runs until HALT commits or @p max_cycles elapse. */
     RunResult run(uint64_t max_cycles);
 
-    /** Arms the checkpoint drain barrier: once @p retires
-     *  instructions have committed, run() suppresses fetch, drains
-     *  the pipeline (ROB, fetch queue, completion events empty),
-     *  invokes @p hook exactly once, and resumes normal execution.
-     *  The barrier itself is deterministic machine behavior — a run
-     *  that arms it with a null hook executes identically to one
-     *  that serializes a snapshot at it. */
-    void armCheckpoint(uint64_t retires, std::function<void()> hook);
-
-    /** Pipeline empty (checkpoint barrier / snapshot precondition). */
-    bool drained() const
-    {
-        return rob_.empty() && fetch_queue_.empty() &&
-               completion_events_.empty() && rs_.empty() &&
-               lq_.empty() && sq_.empty();
-    }
-
     bool halted() const { return halted_; }
     uint64_t cycle() const { return cycle_; }
     uint64_t instructionsRetired() const { return retired_; }
@@ -186,8 +169,6 @@ class Core
     StatSet &stats() { return stats_; }
 
   private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
-
     struct FetchEntry {
         DynInstPtr inst;
         uint64_t ready_cycle;
@@ -212,11 +193,6 @@ class Core
     PipelineObserver *observer_ = nullptr;
     FaultHooks *faults_ = nullptr;
     double wall_timeout_seconds_ = 0.0;
-    /** Checkpoint drain barrier (armCheckpoint); 0 = disarmed.
-     *  While armed and retired_ >= ckpt_retires_, fetch is
-     *  suppressed so the pipeline drains. */
-    uint64_t ckpt_retires_ = 0;
-    std::function<void()> ckpt_hook_;
     /** Transmitter-delay cycles per gate, accumulated as plain
      *  integers on the hot path and published to the engine's StatSet
      *  (delay.*) at the end of run(). */

@@ -46,8 +46,6 @@ class StoreSetPredictor
     void trainViolation(uint64_t load_pc, uint64_t store_pc);
 
   private:
-    friend class Snapshotter; // checkpoint wire format (sim/snapshot)
-
     struct LfstEntry {
         bool valid = false;
         SeqNum seq = 0;

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <stdexcept>
 
@@ -19,6 +20,7 @@
 #include "core/knowledge_map.h"
 #include "sim/exp_runner.h"
 #include "sim/report.h"
+#include "workloads/golden_suite.h"
 #include "workloads/workloads.h"
 
 namespace spt {
@@ -197,8 +199,8 @@ TEST(ExpRunner, JobKeyCoversEveryDescriptorField)
     // ResultCache.CanonicalKeyCoversEveryDescriptorField. Here the
     // runner itself must give every single-field variant of a job
     // its own simulation and merge only a label-only difference.
-    // keep_going: some variants fail on purpose (an empty knowledge
-    // map, a missing snapshot) and still count as their own job.
+    // keep_going: a variant that fails on purpose (an empty knowledge
+    // map) still counts as its own job.
     const TestPrograms programs;
     RunJob job;
     job.program = &programs.pchase;
@@ -234,10 +236,6 @@ TEST(ExpRunner, JobKeyCoversEveryDescriptorField)
     vary([](RunJob &j) { j.invariants = true; });
     vary([](RunJob &j) { j.watchdog_cycles = 4096; });
     vary([](RunJob &j) { j.fast_forward = true; });
-    vary([](RunJob &j) { j.checkpoint_at = 1000; });
-    vary([](RunJob &j) {
-        j.checkpoint = "/nonexistent/spt-no-such-snapshot.bin";
-    });
     vary([](RunJob &j) { j.wall_timeout_seconds = 600.0; });
     const size_t variants = grid.size();
     vary([](RunJob &j) { j.label = "a pretty name"; });
@@ -466,6 +464,54 @@ TEST(ResultCache, VerifyModeDetectsPoisonedEntry)
     EXPECT_EQ(runner.lastSweep().cache.verify_mismatches, 0u);
 }
 
+TEST(ResultCache, StoreLeavesForeignTempFilesAlone)
+{
+    // Several processes may share one cache directory, so a store
+    // must never write through a temp file it did not create itself:
+    // another writer's half-written `<entry>.tmp0` (a file) or a
+    // directory squatting on that name keeps its content, and the
+    // store still lands.
+    const TestPrograms programs;
+    RunJob job;
+    job.program = &programs.pchase;
+    const std::vector<RunOutcome> out = ExpRunner(1).run({job});
+    const std::string key = ResultCache::canonicalKey(job);
+    const std::string other_key = key + "|other";
+    ASSERT_FALSE(key.empty());
+
+    const std::string dir = freshCacheDir("spt_cache_foreign_tmp");
+    ResultCache reader(dir, CacheMode::kReadOnly);
+    const std::string foreign_file = reader.entryPath(key) + ".tmp0";
+    const std::string foreign_dir =
+        reader.entryPath(other_key) + ".tmp0";
+    const std::string junk = "another writer's bytes";
+    std::ofstream(foreign_file, std::ios::binary) << junk;
+    std::filesystem::create_directories(foreign_dir);
+
+    // One writer per store, as with separate sweeps or processes.
+    ResultCache(dir, CacheMode::kReadWrite).store(key, out[0]);
+    ResultCache(dir, CacheMode::kReadWrite).store(other_key, out[0]);
+    for (const std::string &k : {key, other_key}) {
+        RunOutcome hit;
+        EXPECT_TRUE(reader.lookup(k, &hit)) << k;
+        EXPECT_TRUE(ResultCache::encodeOutcome(hit) ==
+                    ResultCache::encodeOutcome(out[0]))
+            << k;
+    }
+    std::ifstream is(foreign_file, std::ios::binary);
+    const std::string left((std::istreambuf_iterator<char>(is)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(left, junk);
+    EXPECT_TRUE(std::filesystem::is_directory(foreign_dir));
+    // Two entries plus the two foreign names: no temp file of this
+    // writer is left behind.
+    size_t files = 0;
+    for ([[maybe_unused]] const auto &e :
+         std::filesystem::directory_iterator(dir))
+        ++files;
+    EXPECT_EQ(files, 4u);
+}
+
 TEST(ResultCache, CanonicalKeyIsContentAddressed)
 {
     // Two content-identical programs at distinct addresses share
@@ -482,14 +528,30 @@ TEST(ResultCache, CanonicalKeyIsContentAddressed)
     EXPECT_NE(ResultCache::canonicalKey(ja),
               ResultCache::canonicalKey(jc));
 
-    // Uncacheable descriptors produce no key: wall-clock-capped
-    // jobs (schedule-dependent outcome) and unreadable checkpoints.
+    // The full key text of golden case 0 under SPT{Bwd,ShadowL1}, as
+    // record_golden_stats --fingerprints hashes it. Existing cache
+    // directories and CI's seeded-cache key depend on this text, so a
+    // change to it must be a deliberate schema bump, not a side
+    // effect of a refactor.
+    const GoldenCase &golden = goldenSuite().at(0);
+    RunJob jg;
+    jg.program = &golden.program;
+    jg.engine.scheme = ProtectionScheme::kSpt;
+    jg.engine.spt.method = UntaintMethod::kBackward;
+    jg.engine.spt.shadow = ShadowKind::kShadowL1;
+    jg.attack_model = golden.model;
+    EXPECT_EQ(golden.name, "pchase/futuristic");
+    EXPECT_EQ(ResultCache::canonicalKey(jg),
+              "resv1|prog=3e82cf8edc082265|sch=3|m=2|sh=1|bw=3|st=0"
+              "|mut=0|km=0000000000000000|am=1|seed=0|mc=500000000"
+              "|tr=0|pf=0|iv=0|inv=0|wd=0|ff=0|ca=0|fs=0|f0=0|f1=0"
+              "|f2=0|f3=0|f4=0|f5=0|ck=0");
+
+    // A wall-clock-capped job (schedule-dependent outcome) is the
+    // one uncacheable descriptor: it produces no key.
     RunJob capped = ja;
     capped.wall_timeout_seconds = 5.0;
     EXPECT_EQ(ResultCache::canonicalKey(capped), "");
-    RunJob missing = ja;
-    missing.checkpoint = "/nonexistent/spt-no-such-snapshot.bin";
-    EXPECT_EQ(ResultCache::canonicalKey(missing), "");
 }
 
 TEST(ResultCache, CanonicalKeyCoversEveryDescriptorField)
@@ -569,31 +631,6 @@ TEST(ResultCache, CanonicalKeyCoversEveryDescriptorField)
     j = job;
     j.fast_forward = true;
     expect_fresh(j, "fast_forward");
-    j = job;
-    j.checkpoint_at = 1000;
-    expect_fresh(j, "checkpoint_at");
-
-    // The checkpoint enters the key by content, not by path:
-    // rewriting the bytes at one path changes the key, and two paths
-    // holding equal bytes share one.
-    const std::string dir = freshCacheDir("spt_key_ckpt");
-    std::filesystem::create_directories(dir);
-    const auto write_file = [](const std::string &path,
-                               const std::string &bytes) {
-        std::ofstream(path, std::ios::binary) << bytes;
-    };
-    const std::string path_a = dir + "/a.bin";
-    const std::string path_b = dir + "/b.bin";
-    write_file(path_a, "snapshot one");
-    j = job;
-    j.checkpoint = path_a;
-    expect_fresh(j, "checkpoint content");
-    const std::string key_one = ResultCache::canonicalKey(j);
-    write_file(path_a, "snapshot two");
-    expect_fresh(j, "rewritten checkpoint content");
-    write_file(path_b, "snapshot one");
-    j.checkpoint = path_b;
-    EXPECT_EQ(ResultCache::canonicalKey(j), key_one);
 
     // label is documentation, not identity — same key.
     j = job;

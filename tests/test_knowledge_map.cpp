@@ -13,10 +13,7 @@
  *  - the relaxed engine pre-declassifies without ever diverging
  *    from vanilla SPT's architectural results, and the map-claimed
  *    operands retire untainted under the unrelaxed ideal engine,
- *  - the invariant watchdog stays clean with a map installed,
- *  - snapshots record the map identity: restore under a different
- *    map configuration is refused, restore under the same one is
- *    byte-identical.
+ *  - the invariant watchdog stays clean with a map installed.
  */
 
 #include <cstdio>
@@ -269,49 +266,6 @@ TEST(KnowledgeMap, InvariantWatchdogStaysCleanWithMap)
     EXPECT_EQ(out[0].status, RunStatus::kOk) << out[0].error;
     EXPECT_EQ(out[0].diagnostics_json, "[]");
     EXPECT_TRUE(out[0].result.halted);
-}
-
-// ---------------------------------------------------------------
-// Snapshot integration
-// ---------------------------------------------------------------
-
-TEST(KnowledgeMap, SnapshotRecordsTheMapIdentity)
-{
-    const Program program = makeHashTable(300, 300);
-    const KnowledgeMap map = mapFor(program);
-    SimConfig cfg;
-    cfg.engine.scheme = ProtectionScheme::kSpt;
-    cfg.engine.spt.method = UntaintMethod::kBackward;
-    cfg.engine.spt.shadow = ShadowKind::kShadowL1;
-    cfg.engine.spt.knowledge_map = &map;
-    cfg.core.attack_model = AttackModel::kFuturistic;
-    cfg.checkpoint_at_retires = 600;
-
-    std::ostringstream snap;
-    Simulator saver(program, cfg);
-    saver.writeSnapshotTo(&snap);
-    const SimResult saved = saver.run();
-    ASSERT_TRUE(saved.halted);
-    ASSERT_FALSE(snap.str().empty());
-
-    // Same config restores and finishes identically.
-    {
-        Simulator resumed(program, cfg);
-        std::istringstream in(snap.str());
-        resumed.restoreSnapshot(in);
-        const SimResult r = resumed.run();
-        EXPECT_EQ(r.cycles, saved.cycles);
-        EXPECT_EQ(r.instructions, saved.instructions);
-    }
-    // Dropping the map from the config is a different machine: the
-    // restore must refuse rather than silently diverge.
-    {
-        SimConfig no_map = cfg;
-        no_map.engine.spt.knowledge_map = nullptr;
-        Simulator resumed(program, no_map);
-        std::istringstream in(snap.str());
-        EXPECT_THROW(resumed.restoreSnapshot(in), FatalError);
-    }
 }
 
 } // namespace

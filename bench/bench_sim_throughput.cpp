@@ -29,7 +29,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -64,17 +63,6 @@ benchConfigs()
         spt.spt.shadow = ShadowKind::kShadowL1;
         configs.push_back({engineConfigName(spt), spt});
     }
-
-    // The PR-6 reference point: the pre-repack byte/map taint
-    // containers. The headline lever product (bitplane storage x
-    // fast-forward) is reported against this row ticking every
-    // cycle.
-    EngineConfig legacy;
-    legacy.scheme = ProtectionScheme::kSpt;
-    legacy.spt.method = UntaintMethod::kBackward;
-    legacy.spt.shadow = ShadowKind::kShadowL1;
-    legacy.spt.storage = SptConfig::Storage::kLegacy;
-    configs.push_back({"SPT{Bwd,ShadowL1}:legacy", legacy});
     return configs;
 }
 
@@ -141,7 +129,6 @@ main(int argc, char **argv)
     json.key("configs").beginArray();
 
     size_t slot = 0;
-    std::map<std::string, double> agg_rates;
     for (const NamedConfig &spec : configs) {
         double agg_by_mode[2] = {0.0, 0.0};
         for (int mode = 0; mode < 2; ++mode) {
@@ -172,7 +159,6 @@ main(int argc, char **argv)
             const double agg =
                 minstrPerSec(total_instrs, total_seconds);
             agg_by_mode[mode] = agg;
-            agg_rates[label] = agg;
             printf("%-24s %-12s %12llu %12.1f %10.3f\n",
                    label.c_str(), "TOTAL",
                    static_cast<unsigned long long>(total_instrs),
@@ -206,20 +192,6 @@ main(int argc, char **argv)
             printf("\n");
     }
     json.endArray();
-
-    // The PR-6 acceptance number: both levers against the legacy
-    // containers ticking every cycle.
-    double combined = 0.0;
-    const auto legacy_it = agg_rates.find("SPT{Bwd,ShadowL1}:legacy");
-    const auto fast_it = agg_rates.find("SPT{Bwd,ShadowL1}+ff");
-    if (legacy_it != agg_rates.end() && fast_it != agg_rates.end() &&
-        legacy_it->second > 0.0) {
-        combined = fast_it->second / legacy_it->second;
-        printf("combined speedup, bitplane+ff vs legacy "
-               "tick-every-cycle (SPT{Bwd,ShadowL1}): %.2fx\n\n",
-               combined);
-    }
-    json.field("combined_speedup_bitplane_ff_vs_legacy", combined, 3);
     json.endObject();
     writeReportFile(opt.out_path, json.str());
     printf("wrote %s\n", opt.out_path.c_str());

@@ -7,10 +7,9 @@
  * (average SPT overhead, SPT-vs-SecureBaseline reduction factor,
  * the constant-time-kernel subset, and SPT-vs-STT deltas).
  *
- * The whole (model x workload x config) grid and the knowledge-map
- * relaxation grid run as one sweep on the parallel experiment
- * runner; stdout and the JSON artifact are byte-identical for any
- * --jobs value.
+ * The whole (model x workload x config) grid runs as one sweep on
+ * the parallel experiment runner; stdout and the JSON artifact are
+ * byte-identical for any --jobs value.
  *
  * Usage: fig7_overheads [--jobs N] [--out BENCH_fig7.json]
  * Set SPT_BENCH_QUICK=1 to run a 5-workload subset (CI smoke).
@@ -18,11 +17,7 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 
-#include "analysis/cfg.h"
-#include "analysis/knowledge_analysis.h"
-#include "analysis/knowledge_map.h"
 #include "bench/bench_util.h"
 
 using namespace spt;
@@ -70,62 +65,12 @@ main(int argc, char **argv)
         }
     }
 
-    // --- Knowledge-map relaxation (DESIGN.md §13) -------------------
-    // Per-workload maps are compiled in-process from the same
-    // fixpoint `spt_lint --emit-knowledge-map` serializes; the deque
-    // keeps their addresses stable for the whole sweep.
-    std::deque<KnowledgeMap> maps;
-    std::vector<const KnowledgeMap *> map_of(names.size());
-    for (size_t wi = 0; wi < names.size(); ++wi) {
-        const Workload &w = workloadByName(names[wi]);
-        const Cfg cfg(w.program);
-        const KnowledgeAnalysis analysis(cfg);
-        maps.push_back(emitKnowledgeMap(analysis));
-        map_of[wi] = &maps.back();
-    }
-    struct RelaxedCfg {
-        const char *name;
-        unsigned width;
-        bool with_map;
-    };
-    const RelaxedCfg rconfigs[] = {
-        {"w3", 3, false},
-        {"w3+KMap", 3, true},
-        {"w1", 1, false},
-        {"w1+KMap", 1, true},
-    };
-    const size_t rn = std::size(rconfigs);
-    const size_t rbase = grid.size();
-    for (const AttackModel model : models) {
-        for (size_t wi = 0; wi < names.size(); ++wi) {
-            const Workload &w = workloadByName(names[wi]);
-            for (const RelaxedCfg &rc : rconfigs) {
-                RunJob job;
-                job.program = &w.program;
-                job.engine.scheme = ProtectionScheme::kSpt;
-                job.engine.spt.method = UntaintMethod::kBackward;
-                job.engine.spt.shadow = ShadowKind::kShadowL1;
-                job.engine.spt.broadcast_width = rc.width;
-                job.engine.spt.knowledge_map =
-                    rc.with_map ? map_of[wi] : nullptr;
-                job.attack_model = model;
-                grid.push_back(job);
-            }
-        }
-    }
-
-    // Both grids run as one sweep, so the relaxed grid's w3 cells —
-    // the main grid's SPT{Bwd,ShadowL1} job again — are memo hits.
     ExpRunner runner(opt.jobs);
     const std::vector<RunOutcome> outcomes = runner.run(grid);
     reportSweep(runner);
     auto at = [&](size_t mi, size_t wi, size_t ci) -> const RunOutcome & {
         return outcomes[(mi * names.size() + wi) * configs.size() +
                         ci];
-    };
-    auto rat = [&](size_t mi, size_t wi, size_t ci)
-        -> const RunOutcome & {
-        return outcomes[rbase + (mi * names.size() + wi) * rn + ci];
     };
 
     auto config_index = [&](const char *n) {
@@ -268,95 +213,6 @@ main(int argc, char **argv)
         json.endObject();
     }
     json.endArray();
-
-    printf("\n=== SPT{Bwd,ShadowL1} + knowledge map: normalized "
-           "execution time ===\n");
-    json.key("relaxed").beginObject();
-    json.key("configs").beginArray();
-    for (const RelaxedCfg &rc : rconfigs)
-        json.value(rc.name);
-    json.endArray();
-    json.key("models").beginArray();
-    for (size_t mi = 0; mi < 2; ++mi) {
-        const AttackModel model = models[mi];
-        printf("\n--- %s attack model ---\n", modelName(model));
-        printf("%-16s", "workload");
-        for (const RelaxedCfg &rc : rconfigs)
-            printf(" %12s", rc.name);
-        printf(" %12s %12s\n", "preclears", "map_hits");
-
-        std::vector<std::vector<double>> rnorm(rn);
-        json.beginObject();
-        json.field("model", modelName(model));
-        json.key("workloads").beginArray();
-        for (size_t wi = 0; wi < names.size(); ++wi) {
-            // Normalize to the same UnsafeBaseline column the main
-            // grid used (config 0 is UnsafeBaseline).
-            const double base =
-                static_cast<double>(at(mi, wi, 0).result.cycles);
-            printf("%-16s", names[wi].c_str());
-            json.beginObject();
-            json.field("name", names[wi]);
-            json.key("cycles").beginArray();
-            for (size_t c = 0; c < rn; ++c)
-                json.value(rat(mi, wi, c).result.cycles);
-            json.endArray();
-            json.key("host_seconds").beginArray();
-            for (size_t c = 0; c < rn; ++c)
-                json.value(rat(mi, wi, c).host_seconds, 6);
-            json.endArray();
-            json.key("normalized").beginArray();
-            for (size_t c = 0; c < rn; ++c) {
-                const double rel =
-                    static_cast<double>(
-                        rat(mi, wi, c).result.cycles) /
-                    base;
-                rnorm[c].push_back(rel);
-                printf(" %12.4f", rel);
-                json.value(rel);
-            }
-            json.endArray();
-            // Knowledge counters of the width-3 mapped run.
-            const RunOutcome &mapped = rat(mi, wi, 1);
-            json.field("precleared_ops",
-                       mapped.counter("knowledge.precleared_ops"));
-            json.field("map_lookups",
-                       mapped.counter("knowledge.map_lookups"));
-            printf(" %12llu %12llu\n",
-                   static_cast<unsigned long long>(
-                       mapped.counter("knowledge.precleared_ops")),
-                   static_cast<unsigned long long>(
-                       mapped.counter("knowledge.map_lookups")));
-            json.endObject();
-        }
-        json.endArray();
-
-        printf("%-16s", "mean");
-        json.key("mean").beginArray();
-        for (size_t c = 0; c < rn; ++c) {
-            printf(" %12.4f", mean(rnorm[c]));
-            json.value(mean(rnorm[c]));
-        }
-        json.endArray();
-        printf("\n");
-        // Overhead reduction in percentage points at each width
-        // (positive = the map lowered mean overhead).
-        const double red3 =
-            100.0 * (mean(rnorm[0]) - mean(rnorm[1]));
-        const double red1 =
-            100.0 * (mean(rnorm[2]) - mean(rnorm[3]));
-        printf("[%s] map overhead reduction: %.3f pp at w3, "
-               "%.3f pp at w1\n",
-               modelName(model), red3, red1);
-        json.key("summary").beginObject();
-        json.field("map_reduction_pp_w3", red3);
-        json.field("map_reduction_pp_w1", red1);
-        json.endObject();
-        json.endObject();
-    }
-    json.endArray();
-    json.endObject();
-
     json.endObject();
     writeReportFile(opt.out_path, json.str());
     fprintf(stderr, "wrote %s\n", opt.out_path.c_str());

@@ -71,6 +71,30 @@ class CheckingEngine : public SptEngine
     DifferentialResult &result_;
 };
 
+/** Runs @p program to completion on the out-of-order core under an
+ *  ideal-untaint CheckingEngine that checks @p claims at commit. */
+DifferentialResult
+runChecked(const Program &program,
+           std::unordered_map<uint64_t, std::vector<SlotClaim>> claims,
+           const DifferentialConfig &config)
+{
+    DifferentialResult result;
+    SptConfig spt;
+    spt.method = UntaintMethod::kIdeal;
+    spt.shadow = config.shadow;
+    auto engine =
+        std::make_unique<CheckingEngine>(spt, std::move(claims),
+                                         result);
+    CoreParams cp;
+    cp.attack_model = config.attack_model;
+    cp.perfect_icache = true;
+    Core core(program, cp, MemorySystemParams{}, std::move(engine));
+    while (!core.halted() && core.cycle() < config.max_cycles)
+        core.tick();
+    result.halted = core.halted();
+    return result;
+}
+
 } // namespace
 
 DifferentialResult
@@ -90,38 +114,16 @@ runDifferential(const Program &program,
         if (!at.empty())
             claims.emplace(pc, std::move(at));
     }
-
-    DifferentialResult result;
-    SptConfig spt;
-    spt.method = UntaintMethod::kIdeal;
-    spt.shadow = config.shadow;
-    auto engine =
-        std::make_unique<CheckingEngine>(spt, std::move(claims),
-                                         result);
-    CoreParams cp;
-    cp.attack_model = config.attack_model;
-    cp.perfect_icache = true;
-    Core core(program, cp, MemorySystemParams{}, std::move(engine));
-    while (!core.halted() && core.cycle() < config.max_cycles)
-        core.tick();
-    result.halted = core.halted();
-    return result;
+    return runChecked(program, std::move(claims), config);
 }
 
 MapDifferentialResult
 runMapDifferential(const Program &program, const KnowledgeMap &map,
-                   const MapDifferentialConfig &config)
+                   const DifferentialConfig &config)
 {
     map.validateFor(program, config.attack_model);
 
-    MapDifferentialResult result;
-    result.map_facts = map.totalFacts();
-
-    // (a) Reference: validate every map fact against the unrelaxed
-    // ideal-untaint engine's taint state at commit. This covers a
-    // superset of the preclears the relaxed engine can perform (the
-    // runtime additionally requires the armed bit), so a clean pass
-    // here bounds the relaxation from above.
+    // Every map fact is a robust claim on one source operand.
     std::unordered_map<uint64_t, std::vector<SlotClaim>> claims;
     for (uint64_t pc = 0; pc < program.size(); ++pc) {
         const uint32_t robust = map.robustRegsAt(pc);
@@ -135,83 +137,27 @@ runMapDifferential(const Program &program, const KnowledgeMap &map,
         if (!at.empty())
             claims.emplace(pc, std::move(at));
     }
-    DifferentialResult ref;
-    {
-        SptConfig spt;
-        spt.method = UntaintMethod::kIdeal;
-        spt.shadow = config.shadow;
-        auto engine = std::make_unique<CheckingEngine>(
-            spt, std::move(claims), ref);
-        CoreParams cp;
-        cp.attack_model = config.attack_model;
-        cp.perfect_icache = true;
-        Core core(program, cp, MemorySystemParams{},
-                  std::move(engine));
-        while (!core.halted() && core.cycle() < config.max_cycles)
-            core.tick();
-        result.halted = core.halted();
-    }
-    result.robust_checked = ref.robust_checked;
-    result.robust_denied = ref.robust_denied;
-    result.log = std::move(ref.log);
+    DifferentialResult checked =
+        runChecked(program, std::move(claims), config);
 
-    // (b)+(c) Relaxed vs vanilla: identical configs except for the
-    // map; the final architectural state must agree (taint defers
-    // timing, never values).
-    auto run = [&](const KnowledgeMap *m, uint64_t &cycles,
-                   std::array<uint64_t, kNumArchRegs> &regs) {
-        SptConfig spt;
-        spt.method = config.method;
-        spt.shadow = config.shadow;
-        spt.broadcast_width = config.broadcast_width;
-        spt.knowledge_map = m;
-        auto engine = std::make_unique<SptEngine>(spt);
-        SptEngine *raw = engine.get();
-        CoreParams cp;
-        cp.attack_model = config.attack_model;
-        cp.perfect_icache = true;
-        Core core(program, cp, MemorySystemParams{},
-                  std::move(engine));
-        while (!core.halted() && core.cycle() < config.max_cycles)
-            core.tick();
-        result.halted = result.halted && core.halted();
-        cycles = core.cycle();
-        for (unsigned r = 0; r < kNumArchRegs; ++r)
-            regs[r] = core.archReg(r);
-        if (m) {
-            result.precleared_ops =
-                raw->stats().get("knowledge.precleared_ops");
-            result.map_lookups =
-                raw->stats().get("knowledge.map_lookups");
-        }
-    };
-    std::array<uint64_t, kNumArchRegs> relaxed_regs{};
-    std::array<uint64_t, kNumArchRegs> vanilla_regs{};
-    run(&map, result.cycles_relaxed, relaxed_regs);
-    run(nullptr, result.cycles_vanilla, vanilla_regs);
-    for (unsigned r = 0; r < kNumArchRegs; ++r) {
-        if (relaxed_regs[r] == vanilla_regs[r])
-            continue;
-        result.arch_divergence = true;
-        if (result.log.size() < 32) {
-            std::ostringstream os;
-            os << "arch divergence at x" << r << ": relaxed "
-               << relaxed_regs[r] << " vanilla " << vanilla_regs[r];
-            result.log.push_back(os.str());
-        }
-    }
+    MapDifferentialResult result;
+    result.halted = checked.halted;
+    result.map_facts = map.totalFacts();
+    result.robust_checked = checked.robust_checked;
+    result.robust_denied = checked.robust_denied;
+    result.log = std::move(checked.log);
     return result;
 }
 
 MapDifferentialSweepResult
 runMapDifferentialSweep(uint64_t first_seed, unsigned count,
                         const FuzzConfig &fuzz,
-                        const MapDifferentialConfig &config)
+                        const DifferentialConfig &config)
 {
     MapDifferentialSweepResult sweep;
     sweep.per_program.resize(count);
     // Slot-indexed as in runDifferentialSweep: each seed's program,
-    // analysis, map, and cores are worker-local, so the assembled
+    // analysis, map, and core are worker-local, so the assembled
     // vector is identical for any jobs value.
     parallelFor(count, config.jobs, [&](std::size_t i) {
         const Program program = fuzzProgram(first_seed + i, fuzz);
@@ -226,8 +172,6 @@ runMapDifferentialSweep(uint64_t first_seed, unsigned count,
         sweep.map_facts += res.map_facts;
         sweep.robust_checked += res.robust_checked;
         sweep.robust_denied += res.robust_denied;
-        sweep.arch_divergences += res.arch_divergence;
-        sweep.precleared_ops += res.precleared_ops;
         sweep.unhalted += !res.halted;
     }
     return sweep;

@@ -33,7 +33,7 @@ struct DifferentialConfig {
     AttackModel attack_model = AttackModel::kSpectre;
     ShadowKind shadow = ShadowKind::kShadowMem;
     uint64_t max_cycles = 1'000'000;
-    /** Worker threads for runDifferentialSweep (0 = SPT_JOBS env,
+    /** Worker threads for the fuzzed sweeps (0 = SPT_JOBS env,
      *  then hardware_concurrency; see common/parallel.h). Each seed
      *  gets its own fuzzer, analysis, and core, so results are
      *  independent of the worker count. */
@@ -99,45 +99,23 @@ runDifferentialSweep(uint64_t first_seed, unsigned count,
 
 class KnowledgeMap;
 
-struct MapDifferentialConfig {
-    AttackModel attack_model = AttackModel::kSpectre;
-    ShadowKind shadow = ShadowKind::kShadowMem;
-    /** Untaint method of the relaxed/vanilla engine pair (the
-     *  reference checker always runs kIdeal). */
-    UntaintMethod method = UntaintMethod::kBackward;
-    unsigned broadcast_width = 3;
-    uint64_t max_cycles = 1'000'000;
-    unsigned jobs = 0; ///< for runMapDifferentialSweep (see above)
-};
-
-/** Verdict of one program's three-way map check:
- *   (a) reference: an ideal-untaint CheckingEngine validates every
- *       map fact (each source operand the map marks robust at its
- *       pc) against the unrelaxed dynamic taint state at commit —
- *       a fact the engine retires tainted is a hard denial;
- *   (b) relaxed:  SPT with the map installed;
- *   (c) vanilla:  the identical SPT config without the map.
- *  (b) vs (c) must agree on the final architectural register file
- *  (taint only defers timing, never changes values); the relaxed
- *  run's knowledge counters quantify how often the map fired. */
+/** Verdict of one program's map check: an ideal-untaint
+ *  CheckingEngine validates every map fact (each source operand the
+ *  map marks robust at its pc) against the dynamic taint state at
+ *  commit — a fact the engine retires tainted is a hard denial. */
 struct MapDifferentialResult {
-    bool halted = false;          ///< all three runs halted
+    bool halted = false;
     uint64_t map_facts = 0;       ///< robust facts in the map
-    uint64_t robust_checked = 0;  ///< (a) facts checked at retire
-    uint64_t robust_denied = 0;   ///< (a) hard denials; must be 0
-    bool arch_divergence = false; ///< (b) vs (c) mismatch
-    uint64_t precleared_ops = 0;  ///< (b) knowledge.precleared_ops
-    uint64_t map_lookups = 0;     ///< (b) knowledge.map_lookups
-    uint64_t cycles_relaxed = 0;  ///< (b) total cycles
-    uint64_t cycles_vanilla = 0;  ///< (c) total cycles
-    std::vector<std::string> log; ///< one line per denial/divergence
+    uint64_t robust_checked = 0;  ///< facts checked at retire
+    uint64_t robust_denied = 0;   ///< hard denials; must be 0
+    std::vector<std::string> log; ///< one line per denial
 };
 
-/** Runs the three-way check. @p map must have been emitted over
+/** Runs the map check. @p map must have been emitted over
  *  @p program (fingerprint-validated). */
 MapDifferentialResult
 runMapDifferential(const Program &program, const KnowledgeMap &map,
-                   const MapDifferentialConfig &config);
+                   const DifferentialConfig &config);
 
 /** Aggregate of a fuzzed map campaign; `per_program[i]` is seed
  *  `first_seed + i` for any worker count. */
@@ -147,17 +125,15 @@ struct MapDifferentialSweepResult {
     uint64_t map_facts = 0;
     uint64_t robust_checked = 0;
     uint64_t robust_denied = 0;
-    uint64_t arch_divergences = 0;
-    uint64_t precleared_ops = 0;
     uint64_t unhalted = 0;
 };
 
 /** Fuzzes `count` programs, emits a knowledge map for each, and
- *  runs the three-way check per seed on `config.jobs` workers. */
+ *  runs the map check per seed on `config.jobs` workers. */
 MapDifferentialSweepResult
 runMapDifferentialSweep(uint64_t first_seed, unsigned count,
                         const FuzzConfig &fuzz,
-                        const MapDifferentialConfig &config);
+                        const DifferentialConfig &config);
 
 } // namespace spt
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Knowledge-map emitter: lowers the `KnowledgeAnalysis` fixpoint
- * into the serialized `KnowledgeMap` artifact the dynamic engine
- * consumes (core/knowledge_map.h, DESIGN.md §13).
+ * into the serialized `KnowledgeMap` artifact (core/knowledge_map.h,
+ * DESIGN.md §13) that `spt_lint` writes and the differential
+ * harness checks against the dynamic engine at commit.
  *
  * Only kRobust facts are emitted. A per-pc mask bit is set for arch
  * register r iff r is kRobust-known in the in-state of that pc —
@@ -10,8 +11,7 @@
  * has been declassified by a program-order-older visibility-point
  * event by the time the instruction executes. kWindowed facts are
  * deliberately dropped: their justifier can be younger than the
- * value's producer, so they carry no retire-time guarantee and must
- * never relax the dynamic engine.
+ * value's producer, so they carry no retire-time guarantee.
  */
 
 #ifndef SPT_ANALYSIS_KNOWLEDGE_MAP_H

@@ -50,8 +50,6 @@ engineConfigName(const EngineConfig &cfg)
     std::string name = "SPT{" + method + "," + shadow + "}";
     if (cfg.spt.mutation == SptConfig::Mutation::kLeakyMemGate)
         name += "+LeakyMemGate";
-    if (cfg.spt.knowledge_map != nullptr)
-        name += "+KMap";
     return name;
 }
 

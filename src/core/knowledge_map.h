@@ -1,8 +1,7 @@
 /**
  * @file
- * Serialized static-knowledge artifact: the Declassiflow bridge
- * between the static knowledge-propagation pass (src/analysis) and
- * the dynamic SPT engine (DESIGN.md §13).
+ * Serialized static-knowledge artifact of the static
+ * knowledge-propagation pass (src/analysis, DESIGN.md §13).
  *
  * A `KnowledgeMap` records, per program counter, the set of
  * architectural registers whose values are kRobust-known at that
@@ -10,9 +9,11 @@
  * program-order-older visibility-point events, the only knowledge
  * tier strong enough to assert against the dynamic engine. The map
  * is produced by `spt_lint --emit-knowledge-map` (the emitter lives
- * in src/analysis/knowledge_map.h; this header deliberately has no
- * analysis dependency so the engine/sim layers can consume maps
- * without linking the analysis library).
+ * in src/analysis/knowledge_map.h) and every fact is checked
+ * against the dynamic engine at commit (analysis/differential.h).
+ * The engine does not consume maps. This header deliberately has no
+ * analysis dependency, so the result cache can key runs on
+ * `fingerprintOf` without linking the analysis library.
  *
  * Stale-map rejection: the binary header carries a content
  * fingerprint of the program (instruction stream, entry, data
@@ -86,9 +87,7 @@ class KnowledgeMap
     uint64_t totalFacts() const;
 
     /** FNV-1a over the header and every per-pc mask: the file's
-     *  integrity trailer and the `km=` component of the result-cache
-     *  key (sim/result_cache.h), so runs under different maps never
-     *  share a cache entry. */
+     *  integrity trailer. */
     uint64_t contentHash() const;
 
     /** SPT_FATAL unless the map was built over @p program and its

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "core/knowledge_map.h"
 #include "core/untaint_rules.h"
 #include "uarch/core.h"
 
@@ -25,8 +24,6 @@ reasonName(SptEngine::UntaintReason r)
         return "untaint.shadow_data";
       case SptEngine::UntaintReason::kStlForward:
         return "untaint.stl_forward";
-      case SptEngine::UntaintReason::kMapPreclear:
-        return "untaint.map_preclear";
     }
     return "untaint.unknown";
 }
@@ -45,8 +42,6 @@ reasonEvent(SptEngine::UntaintReason r)
         return TaintEvent::kShadowUntaint;
       case SptEngine::UntaintReason::kStlForward:
         return TaintEvent::kStlUntaint;
-      case SptEngine::UntaintReason::kMapPreclear:
-        return TaintEvent::kMapPreclear;
     }
     return TaintEvent::kVpDeclassify;
 }
@@ -66,24 +61,16 @@ SptEngine::attach(Core &core)
     // The zero register is public; every other architectural
     // register (and all memory) starts tainted (Section 6.3).
     master_.set(PhysRegFile::kZeroReg, TaintMask::none());
-    const bool packed = cfg_.storage == SptConfig::Storage::kBitplane;
     switch (cfg_.shadow) {
       case ShadowKind::kNone:
         taint_store_ = std::make_unique<NullTaintStore>();
         break;
       case ShadowKind::kShadowL1:
-        if (packed)
-            taint_store_ = std::make_unique<PackedShadowL1>(
-                core.memorySystem().l1d());
-        else
-            taint_store_ = std::make_unique<ShadowL1>(
-                core.memorySystem().l1d());
+        taint_store_ =
+            std::make_unique<ShadowL1>(core.memorySystem().l1d());
         break;
       case ShadowKind::kShadowMem:
-        if (packed)
-            taint_store_ = std::make_unique<PackedShadowMemory>();
-        else
-            taint_store_ = std::make_unique<ShadowMemory>();
+        taint_store_ = std::make_unique<ShadowMemory>();
         break;
     }
 
@@ -98,7 +85,6 @@ SptEngine::attach(Core &core)
     reg_slots_.assign(core.physRegs().numRegs(), {});
     stl_candidates_.assign(cap);
     shadow_candidates_.assign(cap);
-    armed_.assign(core.physRegs().numRegs(), 0);
 }
 
 TaintMask
@@ -295,36 +281,6 @@ SptEngine::onRename(DynInst &d)
         it.src[0] = master_.get(d.prs1);
     if (d.num_srcs >= 2)
         it.src[1] = master_.get(d.prs2);
-    if (cfg_.knowledge_map && d.num_srcs >= 1) {
-        // Rename-time pre-declassification (DESIGN.md §13): an
-        // operand whose arch register the map proves kRobust-known
-        // at this pc joins untainted — provided the physical
-        // register is armed (its value already VP-declassified), so
-        // the relaxation never outruns the dynamic engine's own
-        // declassifications on a transient wrong path.
-        stats_.inc("knowledge.map_lookups");
-        const uint32_t robust =
-            cfg_.knowledge_map->robustRegsAt(d.pc);
-        bool precleared = false;
-        if (robust != 0) {
-            if (it.src[0].any() && (robust >> d.si.rs1 & 1) &&
-                armed_[d.prs1]) {
-                it.src[0] = TaintMask::none();
-                countUntaint(UntaintReason::kMapPreclear, e, 1);
-                stats_.inc("knowledge.precleared_ops");
-                precleared = true;
-            }
-            if (d.num_srcs >= 2 && it.src[1].any() &&
-                (robust >> d.si.rs2 & 1) && armed_[d.prs2]) {
-                it.src[1] = TaintMask::none();
-                countUntaint(UntaintReason::kMapPreclear, e, 2);
-                stats_.inc("knowledge.precleared_ops");
-                precleared = true;
-            }
-        }
-        if (precleared)
-            stats_.inc("knowledge.precleared_insts");
-    }
     if (d.has_dest) {
         if (d.is_load) {
             // Loads are conservatively tainted at rename; the data's
@@ -334,8 +290,6 @@ SptEngine::onRename(DynInst &d)
             it.dest = propagateForward(d.si.op, it.src[0], it.src[1]);
         }
         master_.set(d.prd, it.dest);
-        // The register now binds a new, not-yet-declassified value.
-        armed_[d.prd] = 0;
     }
     if (observer_ && d.has_dest && it.dest.any())
         observer_->taintEvent(core_->cycle(),
@@ -738,59 +692,7 @@ SptEngine::declassifyPhase()
             countUntaint(UntaintReason::kVpDeclassify, e, 2);
             markLocalDirty(e);
         }
-        if (cfg_.knowledge_map) {
-            // The declassified values are now public on the path
-            // being executed: arm their physical registers so the
-            // knowledge map may pre-declassify later (and, below,
-            // current) readers of the same values.
-            if (src0)
-                armAndPreclear(d.prs1);
-            if (src1)
-                armAndPreclear(d.prs2);
-        }
     }
-}
-
-void
-SptEngine::armAndPreclear(PhysReg reg)
-{
-    if (reg == kNoPhysReg || reg == PhysRegFile::kZeroReg)
-        return;
-    if (armed_[reg])
-        return; // already armed; in-flight readers already swept
-    armed_[reg] = 1;
-    // In-flight relaxation: live readers of this value whose pc the
-    // map proves kRobust get the untaint now, without consuming
-    // broadcast bandwidth. Sound for the same reason the broadcast
-    // itself is: the armed value is public under the threat model
-    // in force. Walk the same reverse index a broadcast would,
-    // compacting recycled slots as applyBroadcast does.
-    auto &refs = reg_slots_[reg];
-    size_t w = 0;
-    for (size_t r = 0; r < refs.size(); ++r) {
-        const RegSlotRef ref = refs[r];
-        Entry &e = entries_[ref.idx];
-        if (!e.live || e.seq != ref.seq)
-            continue;
-        refs[w++] = ref;
-        if (ref.slot == 0)
-            continue; // a destination slot is not an operand read
-        const DynInst &di = *e.inst;
-        const uint32_t robust =
-            cfg_.knowledge_map->robustRegsAt(di.pc);
-        const uint8_t arch = ref.slot == 1 ? di.si.rs1 : di.si.rs2;
-        if (!(robust >> arch & 1))
-            continue;
-        TaintMask &m = e.it.src[ref.slot - 1];
-        if (m.nothing())
-            continue;
-        m = TaintMask::none();
-        countUntaint(UntaintReason::kMapPreclear, e, ref.slot);
-        stats_.inc("knowledge.precleared_ops");
-        stats_.inc("knowledge.precleared_inflight");
-        markLocalDirty(e);
-    }
-    refs.resize(w);
 }
 
 bool

@@ -63,23 +63,10 @@
 
 namespace spt {
 
-class KnowledgeMap;
-
 struct SptConfig {
     UntaintMethod method = UntaintMethod::kBackward;
     ShadowKind shadow = ShadowKind::kShadowL1;
     unsigned broadcast_width = 3;
-    /** Data taint-store implementation. kBitplane packs per-byte
-     *  taint into uint64 words (the PR-6 throughput repack);
-     *  kLegacy keeps the byte-vector stores. Behaviorally
-     *  equivalent — pinned by the storage-equivalence tests — so
-     *  this knob exists to keep the legacy stores testable against
-     *  the packed ones. */
-    enum class Storage : uint8_t {
-        kBitplane,
-        kLegacy,
-    };
-    Storage storage = Storage::kBitplane;
     /** Deliberately seeded policy bugs, used only to prove the
      *  runtime InvariantChecker fires (tools/spt_chaos --mutate).
      *  Mutations weaken a policy *gate*; the ground-truth claim
@@ -92,20 +79,6 @@ struct SptConfig {
         kLeakyMemGate,
     };
     Mutation mutation = Mutation::kNone;
-    /** Static knowledge map (the Declassiflow bridge, DESIGN.md
-     *  §13). Non-owning; the artifact must outlive the engine and
-     *  is validated against the program by the Simulator. When set,
-     *  an operand joins untainted at rename — and in-flight readers
-     *  are precleared the cycle their justifier fires — iff BOTH
-     *  (a) the map proves the operand's architectural register
-     *  kRobust-known at the reader's pc, and (b) the value's
-     *  physical register is *armed*: the engine itself has already
-     *  VP-declassified that very value. (b) is what makes the
-     *  relaxation sound on transient wrong paths: a static fact
-     *  alone says the value *would* become public on every
-     *  architectural continuation, not that it already did on the
-     *  path actually executed. */
-    const KnowledgeMap *knowledge_map = nullptr;
 };
 
 class SptEngine : public SecurityEngine
@@ -119,7 +92,6 @@ class SptEngine : public SecurityEngine
         kBackward,
         kShadowData,   ///< load read untainted memory data
         kStlForward,   ///< across store-to-load forwarding
-        kMapPreclear,  ///< knowledge map + armed value (§13)
     };
 
     explicit SptEngine(const SptConfig &config);
@@ -185,7 +157,6 @@ class SptEngine : public SecurityEngine
     };
     const InstTaint *instTaint(SeqNum seq) const;
     const SptConfig &config() const { return cfg_; }
-    DataTaintStore &taintStore() { return *taint_store_; }
 
     /** Test hook: apply an untaint broadcast for @p reg as if the
      *  broadcast phase had selected it this cycle. */
@@ -269,13 +240,6 @@ class SptEngine : public SecurityEngine
     /** Registers whose master taint shrank this cycle (Figure 9). */
     unsigned untainted_regs_this_cycle_ = 0;
 
-    /** Per physical register: 1 iff the value currently bound to it
-     *  has been VP-declassified (declassifyPhase read it as a
-     *  leaked operand of an at_vp transmitter). Cleared when the
-     *  register is reallocated at rename. Only consulted when a
-     *  knowledge map is installed. */
-    std::vector<uint8_t> armed_;
-
     Entry &entryAt(uint64_t pos) { return entries_[pos & idx_mask_]; }
     Entry *entryOf(const DynInst &d);
     const Entry *entryOf(const DynInst &d) const;
@@ -293,12 +257,6 @@ class SptEngine : public SecurityEngine
      *  the taint of @p reg? Distinguishes "operand still tainted"
      *  from "untaint known, waiting on broadcast width". */
     bool untaintPendingFor(PhysReg reg) const;
-    /** Marks @p reg's current value VP-declassified and, on the
-     *  arming transition, pre-declassifies the source slots of live
-     *  in-flight readers whose pc the knowledge map covers
-     *  (bypassing broadcast-width arbitration; sound because an
-     *  armed value is public). Only called with a map installed. */
-    void armAndPreclear(PhysReg reg);
     void declassifyPhase();
     bool localRulesPhase();
     bool evalLocalRules(Entry &e);

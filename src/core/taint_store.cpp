@@ -20,11 +20,12 @@ maskForBytes(unsigned bytes)
 // --------------------------------------------------------------------
 
 ShadowL1::ShadowL1(SetAssocCache &l1d)
-    : l1d_(l1d), line_bytes_(l1d.params().line_bytes)
+    : l1d_(l1d), line_bytes_(l1d.params().line_bytes),
+      words_per_line_((l1d.params().line_bytes + 63) / 64)
 {
     entries_.resize(size_t{l1d.numSets()} * l1d.params().ways);
-    for (Entry &e : entries_)
-        e.taint.assign(line_bytes_, 1);
+    // All lines start fully tainted (bit set = tainted).
+    taint_.assign(entries_.size() * words_per_line_, ~uint64_t{0});
     l1d_.setObserver(this);
 }
 
@@ -54,105 +55,6 @@ ShadowL1::readTaint(uint64_t addr, unsigned bytes) const
     const Entry *e = find(addr);
     if (!e)
         return maskForBytes(bytes); // not resident: tainted
-    uint8_t out = 0;
-    for (unsigned i = 0; i < bytes && i < 8; ++i) {
-        const uint64_t a = addr + i;
-        if (l1d_.lineAddr(a) != e->line_addr) {
-            // Access straddles into a different line; be
-            // conservative for the tail bytes.
-            out |= static_cast<uint8_t>(maskForBytes(bytes) &
-                                        ~((1u << i) - 1));
-            break;
-        }
-        if (e->taint[a - e->line_addr])
-            out |= uint8_t{1} << i;
-    }
-    return out;
-}
-
-void
-ShadowL1::writeTaint(uint64_t addr, unsigned bytes,
-                     uint8_t byte_taint)
-{
-    Entry *e = find(addr);
-    if (!e)
-        return; // line not resident; nothing to track
-    for (unsigned i = 0; i < bytes && i < 8; ++i) {
-        const uint64_t a = addr + i;
-        if (l1d_.lineAddr(a) != e->line_addr)
-            break;
-        e->taint[a - e->line_addr] = (byte_taint >> i) & 1;
-    }
-    stats_.inc("shadow_l1.writes");
-}
-
-void
-ShadowL1::clearTaint(uint64_t addr, unsigned bytes)
-{
-    writeTaint(addr, bytes, 0);
-    stats_.inc("shadow_l1.clears");
-}
-
-void
-ShadowL1::onFill(uint64_t line_addr, unsigned set, unsigned way)
-{
-    Entry &e = entries_[size_t{set} * l1d_.params().ways + way];
-    e.valid = true;
-    e.line_addr = line_addr;
-    // A freshly filled line is fully tainted (Section 7.5).
-    std::fill(e.taint.begin(), e.taint.end(), 1);
-    stats_.inc("shadow_l1.fills");
-}
-
-void
-ShadowL1::onEvict(uint64_t, unsigned set, unsigned way)
-{
-    Entry &e = entries_[size_t{set} * l1d_.params().ways + way];
-    e.valid = false;
-    std::fill(e.taint.begin(), e.taint.end(), 1);
-    stats_.inc("shadow_l1.evictions");
-}
-
-// --------------------------------------------------------------------
-// PackedShadowL1
-// --------------------------------------------------------------------
-
-PackedShadowL1::PackedShadowL1(SetAssocCache &l1d)
-    : l1d_(l1d), line_bytes_(l1d.params().line_bytes),
-      words_per_line_((l1d.params().line_bytes + 63) / 64)
-{
-    entries_.resize(size_t{l1d.numSets()} * l1d.params().ways);
-    // All lines start fully tainted (bit set = tainted).
-    taint_.assign(entries_.size() * words_per_line_, ~uint64_t{0});
-    l1d_.setObserver(this);
-}
-
-PackedShadowL1::Entry *
-PackedShadowL1::find(uint64_t addr)
-{
-    const auto way = l1d_.wayOf(addr);
-    if (!way)
-        return nullptr;
-    Entry &e = entries_[size_t{l1d_.setOf(addr)} *
-                            l1d_.params().ways +
-                        *way];
-    if (!e.valid || e.line_addr != l1d_.lineAddr(addr))
-        return nullptr;
-    return &e;
-}
-
-const PackedShadowL1::Entry *
-PackedShadowL1::find(uint64_t addr) const
-{
-    return const_cast<PackedShadowL1 *>(this)->find(addr);
-}
-
-uint8_t
-PackedShadowL1::readTaint(uint64_t addr, unsigned bytes) const
-{
-    const Entry *e = find(addr);
-    if (!e)
-        return maskForBytes(bytes); // not resident: tainted
     const uint64_t *words = lineWords(*e);
     const uint64_t off = addr - e->line_addr;
     const unsigned n = bytes < 8 ? bytes : 8;
@@ -175,8 +77,8 @@ PackedShadowL1::readTaint(uint64_t addr, unsigned bytes) const
 }
 
 void
-PackedShadowL1::writeTaint(uint64_t addr, unsigned bytes,
-                           uint8_t byte_taint)
+ShadowL1::writeTaint(uint64_t addr, unsigned bytes,
+                     uint8_t byte_taint)
 {
     Entry *e = find(addr);
     if (!e)
@@ -192,18 +94,16 @@ PackedShadowL1::writeTaint(uint64_t addr, unsigned bytes,
         else
             words[b >> 6] &= ~bit;
     }
-    stats_.inc("shadow_l1.writes");
 }
 
 void
-PackedShadowL1::clearTaint(uint64_t addr, unsigned bytes)
+ShadowL1::clearTaint(uint64_t addr, unsigned bytes)
 {
     writeTaint(addr, bytes, 0);
-    stats_.inc("shadow_l1.clears");
 }
 
 void
-PackedShadowL1::fillLine(unsigned set, unsigned way)
+ShadowL1::fillLine(unsigned set, unsigned way)
 {
     const size_t i = size_t{set} * l1d_.params().ways + way;
     std::fill_n(taint_.begin() +
@@ -212,24 +112,21 @@ PackedShadowL1::fillLine(unsigned set, unsigned way)
 }
 
 void
-PackedShadowL1::onFill(uint64_t line_addr, unsigned set,
-                       unsigned way)
+ShadowL1::onFill(uint64_t line_addr, unsigned set, unsigned way)
 {
     Entry &e = entries_[size_t{set} * l1d_.params().ways + way];
     e.valid = true;
     e.line_addr = line_addr;
     // A freshly filled line is fully tainted (Section 7.5).
     fillLine(set, way);
-    stats_.inc("shadow_l1.fills");
 }
 
 void
-PackedShadowL1::onEvict(uint64_t, unsigned set, unsigned way)
+ShadowL1::onEvict(uint64_t, unsigned set, unsigned way)
 {
     Entry &e = entries_[size_t{set} * l1d_.params().ways + way];
     e.valid = false;
     fillLine(set, way);
-    stats_.inc("shadow_l1.evictions");
 }
 
 // --------------------------------------------------------------------
@@ -242,7 +139,8 @@ ShadowMemory::untainted(uint64_t addr) const
     auto it = pages_.find(addr / kPageBytes);
     if (it == pages_.end())
         return false;
-    return it->second[addr % kPageBytes] != 0;
+    const uint64_t b = addr % kPageBytes;
+    return (it->second[b >> 6] >> (b & 63)) & 1;
 }
 
 void
@@ -254,10 +152,15 @@ ShadowMemory::setUntainted(uint64_t addr, bool clear)
             return; // default is tainted
         it = pages_
                  .emplace(addr / kPageBytes,
-                          std::vector<uint8_t>(kPageBytes, 0))
+                          std::vector<uint64_t>(kPageBytes / 64, 0))
                  .first;
     }
-    it->second[addr % kPageBytes] = clear ? 1 : 0;
+    const uint64_t b = addr % kPageBytes;
+    const uint64_t bit = uint64_t{1} << (b & 63);
+    if (clear)
+        it->second[b >> 6] |= bit;
+    else
+        it->second[b >> 6] &= ~bit;
 }
 
 uint8_t
@@ -280,65 +183,6 @@ ShadowMemory::writeTaint(uint64_t addr, unsigned bytes,
 
 void
 ShadowMemory::clearTaint(uint64_t addr, unsigned bytes)
-{
-    for (unsigned i = 0; i < bytes && i < 8; ++i)
-        setUntainted(addr + i, true);
-}
-
-// --------------------------------------------------------------------
-// PackedShadowMemory
-// --------------------------------------------------------------------
-
-bool
-PackedShadowMemory::untainted(uint64_t addr) const
-{
-    auto it = pages_.find(addr / kPageBytes);
-    if (it == pages_.end())
-        return false;
-    const uint64_t b = addr % kPageBytes;
-    return (it->second[b >> 6] >> (b & 63)) & 1;
-}
-
-void
-PackedShadowMemory::setUntainted(uint64_t addr, bool clear)
-{
-    auto it = pages_.find(addr / kPageBytes);
-    if (it == pages_.end()) {
-        if (!clear)
-            return; // default is tainted
-        it = pages_
-                 .emplace(addr / kPageBytes,
-                          std::vector<uint64_t>(kPageBytes / 64, 0))
-                 .first;
-    }
-    const uint64_t b = addr % kPageBytes;
-    const uint64_t bit = uint64_t{1} << (b & 63);
-    if (clear)
-        it->second[b >> 6] |= bit;
-    else
-        it->second[b >> 6] &= ~bit;
-}
-
-uint8_t
-PackedShadowMemory::readTaint(uint64_t addr, unsigned bytes) const
-{
-    uint8_t out = 0;
-    for (unsigned i = 0; i < bytes && i < 8; ++i)
-        if (!untainted(addr + i))
-            out |= uint8_t{1} << i;
-    return out;
-}
-
-void
-PackedShadowMemory::writeTaint(uint64_t addr, unsigned bytes,
-                               uint8_t byte_taint)
-{
-    for (unsigned i = 0; i < bytes && i < 8; ++i)
-        setUntainted(addr + i, !((byte_taint >> i) & 1));
-}
-
-void
-PackedShadowMemory::clearTaint(uint64_t addr, unsigned bytes)
 {
     for (unsigned i = 0; i < bytes && i < 8; ++i)
         setUntainted(addr + i, true);

@@ -8,18 +8,13 @@
  *
  *  - NullTaintStore: memory data is always tainted (NoShadowL1).
  *  - ShadowL1: an in-core mirror of the L1D's set-associative
- *    geometry with one taint bit per byte per line. It holds no tags:
- *    the L1D's tag-check and eviction outputs drive it through the
- *    CacheObserver hooks, so an invalidated/filled line reverts to
- *    all-tainted.
+ *    geometry with one taint bit per byte per line, packed into
+ *    uint64 words. It holds no tags: the L1D's tag-check and
+ *    eviction outputs drive it through the CacheObserver hooks, so
+ *    an invalidated/filled line reverts to all-tainted.
  *  - ShadowMemory: the idealized variant that keeps a taint bit for
- *    every byte of memory (SPT {*, ShadowMem}).
- *
- * PackedShadowL1 / PackedShadowMemory are the bitplane repacks of
- * the latter two: the same geometry and stat behavior, but one taint
- * *bit* per byte packed into uint64 words instead of one byte per
- * byte. SptConfig::Storage selects packed (default) or legacy; the
- * storage-equivalence tests pin them bit-identical.
+ *    every byte of memory (SPT {*, ShadowMem}), in sparse pages of
+ *    packed "untainted" bits.
  */
 
 #ifndef SPT_CORE_TAINT_STORE_H
@@ -29,7 +24,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/stats.h"
 #include "mem/cache.h"
 
 namespace spt {
@@ -66,7 +60,8 @@ class NullTaintStore : public DataTaintStore
     void clearTaint(uint64_t, unsigned) override {}
 };
 
-/** Shadow L1: taint bits for L1D-resident bytes only. */
+/** Shadow L1: taint bits for L1D-resident bytes only, one *bit*
+ *  per line byte in uint64 words. */
 class ShadowL1 : public DataTaintStore, public CacheObserver
 {
   public:
@@ -85,46 +80,6 @@ class ShadowL1 : public DataTaintStore, public CacheObserver
     void onEvict(uint64_t line_addr, unsigned set,
                  unsigned way) override;
 
-    StatSet &stats() { return stats_; }
-
-  private:
-    struct Entry {
-        bool valid = false;
-        uint64_t line_addr = 0;
-        /** Bit b set = byte b of the line is tainted. */
-        std::vector<uint8_t> taint; // line_bytes entries (1 = tainted)
-    };
-
-    SetAssocCache &l1d_;
-    unsigned line_bytes_;
-    std::vector<Entry> entries_;
-    StatSet stats_;
-
-    /** Entry holding @p addr's line, or nullptr if not resident. */
-    Entry *find(uint64_t addr);
-    const Entry *find(uint64_t addr) const;
-};
-
-/** Bitplane repack of ShadowL1: one taint *bit* per line byte in
- *  uint64 words. Same geometry, straddle semantics, and stat names
- *  as the byte-vector original. */
-class PackedShadowL1 : public DataTaintStore, public CacheObserver
-{
-  public:
-    explicit PackedShadowL1(SetAssocCache &l1d);
-
-    uint8_t readTaint(uint64_t addr, unsigned bytes) const override;
-    void writeTaint(uint64_t addr, unsigned bytes,
-                    uint8_t byte_taint) override;
-    void clearTaint(uint64_t addr, unsigned bytes) override;
-
-    void onFill(uint64_t line_addr, unsigned set,
-                unsigned way) override;
-    void onEvict(uint64_t line_addr, unsigned set,
-                 unsigned way) override;
-
-    StatSet &stats() { return stats_; }
-
   private:
     struct Entry {
         bool valid = false;
@@ -138,8 +93,8 @@ class PackedShadowL1 : public DataTaintStore, public CacheObserver
     /** Bit b of line word w = byte w*64+b tainted; laid out
      *  contiguously, entry i at [i * words_per_line_, ...). */
     std::vector<uint64_t> taint_;
-    StatSet stats_;
 
+    /** Entry holding @p addr's line, or nullptr if not resident. */
     Entry *find(uint64_t addr);
     const Entry *find(uint64_t addr) const;
     uint64_t *lineWords(const Entry &e)
@@ -155,31 +110,9 @@ class PackedShadowL1 : public DataTaintStore, public CacheObserver
     void fillLine(unsigned set, unsigned way);
 };
 
-/** Idealized whole-memory byte taint (sparse: pages of "untainted"
- *  flags; absent page = fully tainted). */
+/** Idealized whole-memory byte taint: one "untainted" *bit* per
+ *  byte, 64 words per 4 KiB page; absent page = fully tainted. */
 class ShadowMemory : public DataTaintStore
-{
-  public:
-    static constexpr uint64_t kPageBytes = 4096;
-
-    uint8_t readTaint(uint64_t addr, unsigned bytes) const override;
-    void writeTaint(uint64_t addr, unsigned bytes,
-                    uint8_t byte_taint) override;
-    void clearTaint(uint64_t addr, unsigned bytes) override;
-
-    size_t residentPages() const { return pages_.size(); }
-
-  private:
-    /** 1 = untainted (memory defaults to tainted). */
-    std::unordered_map<uint64_t, std::vector<uint8_t>> pages_;
-
-    bool untainted(uint64_t addr) const;
-    void setUntainted(uint64_t addr, bool untainted);
-};
-
-/** Bitplane repack of ShadowMemory: one "untainted" *bit* per byte,
- *  64 words per 4 KiB page; absent page = fully tainted. */
-class PackedShadowMemory : public DataTaintStore
 {
   public:
     static constexpr uint64_t kPageBytes = 4096;

@@ -16,8 +16,7 @@ constexpr const char *kMissHitLevelStat[] = {
 MemorySystem::MemorySystem(const MemorySystemParams &params)
     : params_(params), l1i_(params.l1i), l1d_(params.l1d),
       l2_(params.l2), l3_(params.l3), mshrs_(params.num_mshrs),
-      noc_(4, 2, 1, 0, 7, params.l3.line_bytes),
-      directory_(params.num_agents)
+      noc_(4, 2, 1, 0, 7, params.l3.line_bytes)
 {
 }
 
@@ -39,7 +38,6 @@ MemorySystem::access(uint64_t addr, AccessKind kind, uint64_t now)
         l1d_.invalidate(addr);
         l2_.invalidate(addr);
         l3_.invalidate(addr);
-        directory_.putLine(kCoreAgent, l3_.lineAddr(addr));
         stats_.inc("fault.evictions");
     }
 
@@ -107,14 +105,11 @@ MemorySystem::access(uint64_t addr, AccessKind kind, uint64_t now)
         }
     }
 
-    // Coherence: obtain the line in the right state for the core.
-    const auto resp = is_write
-                          ? directory_.getModified(kCoreAgent, line)
-                          : directory_.getShared(kCoreAgent, line);
-
-    // Fill the inclusive hierarchy.
+    // Fill the inclusive hierarchy. The core is the only requester,
+    // so it always owns the line: Exclusive to read, Modified to
+    // write.
     const MesiState fill_state =
-        is_write ? MesiState::kModified : resp.grant;
+        is_write ? MesiState::kModified : MesiState::kExclusive;
     if (hit_level >= 4)
         l3_.fill(line, MesiState::kShared);
     if (hit_level >= 3)
@@ -141,7 +136,6 @@ MemorySystem::attackerFlush(uint64_t addr)
     l1d_.invalidate(addr);
     l2_.invalidate(addr);
     l3_.invalidate(addr);
-    directory_.putLine(kCoreAgent, l3_.lineAddr(addr));
     stats_.inc("attacker_flushes");
 }
 

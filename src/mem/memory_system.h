@@ -1,8 +1,7 @@
 /**
  * @file
  * The full memory hierarchy of Table 1: split L1I/L1D, unified L2
- * and L3, mesh NoC latencies, DRAM, L1D MSHRs, and a MESI directory
- * for multi-agent (victim/attacker) configurations.
+ * and L3, mesh NoC latencies, DRAM, and L1D MSHRs.
  *
  * Timing model: an access that hits at level k pays the sum of the
  * access latencies of levels 1..k (plus NoC round trips beyond L2
@@ -10,6 +9,12 @@
  * (inclusive hierarchy). L1D misses are admitted through a finite
  * MSHR file; when it is full the access is rejected and the LSU
  * retries.
+ *
+ * The core is the hierarchy's only requester, so there is no
+ * coherence directory: a read miss fills the private levels
+ * Exclusive, a write miss fills them Modified, and the shared L3
+ * fills Shared. The state bits only mark dirty lines; no latency
+ * depends on them.
  */
 
 #ifndef SPT_MEM_MEMORY_SYSTEM_H
@@ -21,7 +26,6 @@
 #include "common/fault_hooks.h"
 #include "common/stats.h"
 #include "mem/cache.h"
-#include "mem/coherence.h"
 #include "mem/mshr.h"
 #include "mem/noc.h"
 
@@ -34,7 +38,6 @@ struct MemorySystemParams {
     CacheParams l3{"l3", 2 * 1024 * 1024, 64, 16, 40};
     unsigned dram_latency = 100; ///< 50 ns at 2 GHz
     unsigned num_mshrs = 16;
-    unsigned num_agents = 2;     ///< core + optional attacker agent
 };
 
 enum class AccessKind : uint8_t { kLoad, kStore, kIfetch };
@@ -48,9 +51,6 @@ struct MemAccessResult {
 class MemorySystem
 {
   public:
-    static constexpr unsigned kCoreAgent = 0;
-    static constexpr unsigned kAttackerAgent = 1;
-
     explicit MemorySystem(
         const MemorySystemParams &params = MemorySystemParams{});
 
@@ -96,7 +96,6 @@ class MemorySystem
     SetAssocCache l3_;
     MshrFile mshrs_;
     MeshNoc noc_;
-    MesiDirectory directory_;
     StatSet stats_;
 };
 

@@ -242,10 +242,6 @@ ResultCache::canonicalKey(const RunJob &job, KeyHashMemo *memo)
     } else {
         prog = KnowledgeMap::fingerprintOf(*job.program);
     }
-    const uint64_t km =
-        job.engine.spt.knowledge_map != nullptr
-            ? job.engine.spt.knowledge_map->contentHash()
-            : 0;
 
     // Every descriptor field except `label` (presentation, not
     // identity) and `wall_timeout_seconds` (capped jobs get no key
@@ -257,22 +253,22 @@ ResultCache::canonicalKey(const RunJob &job, KeyHashMemo *memo)
     // the regressions the equivalence gates exist to catch. The
     // "resv1" prefix versions the key schema itself: changing how
     // keys are derived must not alias old entries, so this text must
-    // stay byte-stable for every existing field. That is why `ca=0`
-    // and `ck=0` remain as constants: they held the checkpoint knobs
-    // of a removed feature, and every key already on disk has them.
+    // stay byte-stable for every existing field. That is why `st=0`,
+    // `km=0000000000000000`, `ca=0` and `ck=0` remain as constants:
+    // they held the taint-storage, knowledge-map and checkpoint knobs
+    // of removed features, and every key already on disk has them.
     char buf[512];
     int n = std::snprintf(
         buf, sizeof buf,
-        "resv1|prog=%016" PRIx64 "|sch=%u|m=%u|sh=%u|bw=%u|st=%u"
-        "|mut=%u|km=%016" PRIx64 "|am=%u|seed=%" PRIu64
+        "resv1|prog=%016" PRIx64 "|sch=%u|m=%u|sh=%u|bw=%u|st=0"
+        "|mut=%u|km=0000000000000000|am=%u|seed=%" PRIu64
         "|mc=%" PRIu64 "|tr=%u|pf=%u|iv=%" PRIu64 "|inv=%u"
         "|wd=%" PRIu64 "|ff=%u|ca=0|fs=%" PRIu64,
         prog, static_cast<unsigned>(job.engine.scheme),
         static_cast<unsigned>(job.engine.spt.method),
         static_cast<unsigned>(job.engine.spt.shadow),
         job.engine.spt.broadcast_width,
-        static_cast<unsigned>(job.engine.spt.storage),
-        static_cast<unsigned>(job.engine.spt.mutation), km,
+        static_cast<unsigned>(job.engine.spt.mutation),
         static_cast<unsigned>(job.attack_model), job.seed,
         job.max_cycles, static_cast<unsigned>(job.trace),
         static_cast<unsigned>(job.profile), job.interval_stats,

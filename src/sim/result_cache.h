@@ -4,11 +4,10 @@
  * of RunJob outcomes (DESIGN.md §14).
  *
  * Jobs are keyed by *content*. `canonicalKey` serializes the
- * full job descriptor into a stable text form in which every
- * by-reference component is replaced by a content hash — the
- * program fingerprint (KnowledgeMap::fingerprintOf: instruction
- * stream, entry, data segments, secret ranges) and the
- * knowledge-map content hash — plus every scalar field of the
+ * full job descriptor into a stable text form in which the program
+ * is replaced by its content fingerprint
+ * (KnowledgeMap::fingerprintOf: instruction stream, entry, data
+ * segments, secret ranges), plus every scalar field of the
  * descriptor (engine configuration, attack model, seed, cycle
  * budget, fault plan, observability flags). Two jobs with equal
  * canonical keys are the same pure function: the simulator is

@@ -2,7 +2,6 @@
 
 #include "common/json.h"
 #include "common/logging.h"
-#include "core/knowledge_map.h"
 #include "uarch/invariant_checker.h"
 
 namespace spt {
@@ -22,13 +21,6 @@ terminationName(Termination t)
 Simulator::Simulator(const Program &program, const SimConfig &config)
     : program_(program), config_(config)
 {
-    if (config.engine.scheme == ProtectionScheme::kSpt &&
-        config.engine.spt.knowledge_map) {
-        // A stale or foreign map must be refused before it can
-        // relax anything (DESIGN.md §13); SPT_FATAL on mismatch.
-        config.engine.spt.knowledge_map->validateFor(
-            program, config.core.attack_model);
-    }
     core_ = std::make_unique<Core>(program, config.core, config.mem,
                                    makeEngine(config.engine));
     if (config.lockstep_check) {

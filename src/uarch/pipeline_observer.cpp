@@ -37,7 +37,6 @@ taintEventName(TaintEvent e)
       case TaintEvent::kBackwardUntaint: return "backward";
       case TaintEvent::kShadowUntaint: return "shadow-data";
       case TaintEvent::kStlUntaint: return "stl-forward";
-      case TaintEvent::kMapPreclear: return "map-preclear";
     }
     return "?";
 }

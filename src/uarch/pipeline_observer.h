@@ -54,8 +54,6 @@ enum class TaintEvent : uint8_t {
     kBackwardUntaint, ///< backward rule fired
     kShadowUntaint,   ///< load read untainted memory data
     kStlUntaint,      ///< untaint across store-to-load forwarding
-    kMapPreclear,     ///< static knowledge map pre-declassified an
-                      ///< armed operand (DESIGN.md §13)
 };
 
 const char *taintEventName(TaintEvent e);

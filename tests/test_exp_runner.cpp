@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "common/parallel.h"
-#include "core/knowledge_map.h"
 #include "sim/exp_runner.h"
 #include "sim/report.h"
 #include "workloads/golden_suite.h"
@@ -199,14 +198,11 @@ TEST(ExpRunner, JobKeyCoversEveryDescriptorField)
     // ResultCache.CanonicalKeyCoversEveryDescriptorField. Here the
     // runner itself must give every single-field variant of a job
     // its own simulation and merge only a label-only difference.
-    // keep_going: a variant that fails on purpose (an empty knowledge
-    // map) still counts as its own job.
     const TestPrograms programs;
     RunJob job;
     job.program = &programs.pchase;
     job.engine.scheme = ProtectionScheme::kSpt;
 
-    static const KnowledgeMap kMap;
     std::vector<RunJob> grid = {job};
     const auto vary = [&](auto &&mutate) {
         RunJob j = job;
@@ -219,12 +215,8 @@ TEST(ExpRunner, JobKeyCoversEveryDescriptorField)
     vary([](RunJob &j) { j.engine.spt.shadow = ShadowKind::kShadowMem; });
     vary([](RunJob &j) { j.engine.spt.broadcast_width = 7; });
     vary([](RunJob &j) {
-        j.engine.spt.storage = SptConfig::Storage::kLegacy;
-    });
-    vary([](RunJob &j) {
         j.engine.spt.mutation = SptConfig::Mutation::kLeakyMemGate;
     });
-    vary([](RunJob &j) { j.engine.spt.knowledge_map = &kMap; });
     vary([](RunJob &j) { j.attack_model = AttackModel::kSpectre; });
     vary([](RunJob &j) { j.seed = 1; });
     vary([](RunJob &j) { j.max_cycles = 12345; });
@@ -240,10 +232,8 @@ TEST(ExpRunner, JobKeyCoversEveryDescriptorField)
     const size_t variants = grid.size();
     vary([](RunJob &j) { j.label = "a pretty name"; });
 
-    RunnerPolicy policy;
-    policy.keep_going = true;
     ExpRunner runner(2);
-    const std::vector<RunOutcome> out = runner.run(grid, policy);
+    const std::vector<RunOutcome> out = runner.run(grid);
     EXPECT_EQ(runner.lastSweep().unique_jobs, variants);
     EXPECT_EQ(runner.lastSweep().memo_hits, 1u);
     for (size_t i = 0; i < variants; ++i)
@@ -589,15 +579,8 @@ TEST(ResultCache, CanonicalKeyCoversEveryDescriptorField)
     j.engine.spt.broadcast_width = 7;
     expect_fresh(j, "broadcast width");
     j = job;
-    j.engine.spt.storage = SptConfig::Storage::kLegacy;
-    expect_fresh(j, "taint storage");
-    j = job;
     j.engine.spt.mutation = SptConfig::Mutation::kLeakyMemGate;
     expect_fresh(j, "mutation");
-    j = job;
-    static const KnowledgeMap kMap;
-    j.engine.spt.knowledge_map = &kMap;
-    expect_fresh(j, "knowledge map");
     j = job;
     j.attack_model = AttackModel::kSpectre;
     expect_fresh(j, "attack model");

@@ -1,15 +1,13 @@
 /**
  * @file
- * Fast-forward and bitplane-storage equivalence (the PR-6 throughput
- * levers must be invisible in every simulated number):
+ * Fast-forward equivalence (skipping quiescent cycles must be
+ * invisible in every simulated number):
  *
  *  - CoreParams::fast_forward on vs. off over the whole golden
  *    workload suite: identical SimResult and identical counters and
  *    histograms across every StatSet (core, engine, memory, bpu) —
  *    the only permitted difference is the ff.* skip telemetry
  *    itself.
- *  - SptConfig::Storage kBitplane vs. kLegacy over the same suite:
- *    fully identical, untaint.* included.
  *  - The skip machinery genuinely fires somewhere in the suite
  *    (otherwise the equivalence above would be vacuous).
  *  - Fast-forward equivalence for the non-SPT engines (unsafe /
@@ -130,19 +128,12 @@ TEST_P(FastForwardGoldenTest, SkippingAndStorageAreInvisible)
     EXPECT_TRUE(base.result.halted) << c.name;
     EXPECT_EQ(base.ff_skipped, 0u) << c.name;
 
-    // Lever 1: fast-forward on — identical numbers, only ff.*
-    // telemetry may (and should, somewhere in the suite) appear.
+    // Fast-forward on: identical numbers, only ff.* telemetry may
+    // (and should, somewhere in the suite) appear.
     SimConfig ff_cfg = base_cfg;
     ff_cfg.core.fast_forward = true;
     const MachineNumbers ff = runMachine(c.program, ff_cfg);
     expectIdentical(base, ff, c.name + "/fast-forward");
-
-    // Lever 2: legacy byte-vector taint storage — fully identical,
-    // untaint.* and shadow behavior included.
-    SimConfig legacy_cfg = base_cfg;
-    legacy_cfg.engine.spt.storage = SptConfig::Storage::kLegacy;
-    const MachineNumbers legacy = runMachine(c.program, legacy_cfg);
-    expectIdentical(base, legacy, c.name + "/legacy-storage");
 }
 
 std::string

@@ -3,7 +3,7 @@
  * Memory-hierarchy tests: set-associative cache behavior (LRU,
  * eviction, MESI upgrades, observers), MSHR limits and merging,
  * mesh NoC distances, the full MemorySystem timing model including
- * in-flight-fill semantics, the MESI directory, and the attacker
+ * in-flight-fill semantics and fill states, and the attacker
  * probe/flush interface.
  */
 
@@ -210,45 +210,27 @@ TEST(MemorySystem, AttackerProbeAndFlush)
     EXPECT_FALSE(m.inL2(0x7000));
 }
 
-TEST(MesiDirectory, ExclusiveThenSharedThenModified)
+TEST(MemorySystem, MissesFillExclusiveForReadsModifiedForWrites)
 {
-    MesiDirectory dir(2);
-    // First reader gets Exclusive.
-    auto r = dir.getShared(0, 0x100);
-    EXPECT_EQ(r.grant, MesiState::kExclusive);
-    EXPECT_EQ(dir.agentState(0, 0x100), MesiState::kExclusive);
-    // Second reader downgrades to Shared.
-    r = dir.getShared(1, 0x100);
-    EXPECT_EQ(r.grant, MesiState::kShared);
-    EXPECT_TRUE(r.from_owner);
-    EXPECT_EQ(dir.agentState(0, 0x100), MesiState::kShared);
-    // Writer invalidates the other sharer.
-    r = dir.getModified(0, 0x100);
-    EXPECT_EQ(r.grant, MesiState::kModified);
-    ASSERT_EQ(r.invalidated.size(), 1u);
-    EXPECT_EQ(r.invalidated[0], 1u);
-    EXPECT_EQ(dir.agentState(1, 0x100), MesiState::kInvalid);
-    EXPECT_EQ(dir.agentState(0, 0x100), MesiState::kModified);
-}
-
-TEST(MesiDirectory, WritebackReleasesOwnership)
-{
-    MesiDirectory dir(2);
-    dir.getModified(0, 0x200);
-    dir.putLine(0, 0x200);
-    EXPECT_EQ(dir.agentState(0, 0x200), MesiState::kInvalid);
-    // A fresh reader gets Exclusive again.
-    auto r = dir.getShared(1, 0x200);
-    EXPECT_EQ(r.grant, MesiState::kExclusive);
-    EXPECT_FALSE(r.from_owner);
-}
-
-TEST(MesiDirectory, ReRequestBySoleOwnerKeepsState)
-{
-    MesiDirectory dir(2);
-    dir.getModified(0, 0x300);
-    auto r = dir.getShared(0, 0x300);
-    EXPECT_EQ(r.grant, MesiState::kModified);
+    // The core is the only requester: it owns every private line it
+    // fills, and the shared L3 holds its copy Shared.
+    MemorySystem m;
+    m.access(0x8000, AccessKind::kLoad, 0);
+    EXPECT_EQ(m.l1d().state(0x8000), MesiState::kExclusive);
+    EXPECT_EQ(m.l2().state(0x8000), MesiState::kExclusive);
+    EXPECT_EQ(m.l3().state(0x8000), MesiState::kShared);
+    m.access(0x9000, AccessKind::kStore, 1);
+    EXPECT_EQ(m.l1d().state(0x9000), MesiState::kModified);
+    EXPECT_EQ(m.l2().state(0x9000), MesiState::kModified);
+    EXPECT_EQ(m.l3().state(0x9000), MesiState::kShared);
+    // A read miss fills Exclusive even for a line the core wrote
+    // before the L1 evicted it (eight conflicting fills of its set).
+    const uint64_t set_stride = 64ull * m.l1d().numSets();
+    for (uint64_t k = 1; k <= 8; ++k)
+        m.access(0x9000 + k * set_stride, AccessKind::kLoad, 1 + k);
+    ASSERT_FALSE(m.inL1D(0x9000));
+    m.access(0x9000, AccessKind::kLoad, 20);
+    EXPECT_EQ(m.l1d().state(0x9000), MesiState::kExclusive);
 }
 
 } // namespace

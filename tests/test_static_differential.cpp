@@ -108,19 +108,16 @@ TEST(StaticDifferential, FuturisticModelRobustClaimsNeverDenied)
 }
 
 // ---------------------------------------------------------------
-// Knowledge-map soundness gate (DESIGN.md §13): every map-driven
-// pre-declassification is checked three ways per fuzzed program —
-// map facts against the unrelaxed ideal engine at commit (hard
-// denial), relaxed-vs-vanilla architectural equality, and the
-// relaxed engine's own security gates (which run inside SptEngine
-// regardless). 128 seeds x 2 models = 256 programs.
+// Knowledge-map soundness gate (DESIGN.md §13): every fact of the
+// emitted map is checked against the ideal-untaint engine at commit
+// (hard denial). 128 seeds x 2 models = 256 programs.
 // ---------------------------------------------------------------
 
 void
 runMapSeeds(uint64_t first_seed, unsigned count, AttackModel model,
             MapDifferentialSweepResult &out)
 {
-    MapDifferentialConfig config;
+    DifferentialConfig config;
     config.attack_model = model;
     const MapDifferentialSweepResult sweep =
         runMapDifferentialSweep(first_seed, count, kSmall, config);
@@ -137,7 +134,6 @@ runMapSeeds(uint64_t first_seed, unsigned count, AttackModel model,
                        joined += line + "\n";
                    return joined;
                }();
-        EXPECT_FALSE(res.arch_divergence) << "seed " << seed;
     }
     out = sweep;
 }
@@ -147,16 +143,12 @@ TEST(StaticDifferential, MapPreclearNeverDeniedSpectre)
     MapDifferentialSweepResult sweep;
     runMapSeeds(1, 128, AttackModel::kSpectre, sweep);
     EXPECT_EQ(sweep.robust_denied, 0u);
-    EXPECT_EQ(sweep.arch_divergences, 0u);
     EXPECT_EQ(sweep.unhalted, 0u);
     EXPECT_GT(sweep.robust_checked, 0u) << "gate is vacuous";
     EXPECT_GT(sweep.map_facts, 0u);
-    EXPECT_GT(sweep.precleared_ops, 0u)
-        << "relaxation never fired — gate is vacuous";
     std::cout << "[map-differential] spectre: " << sweep.programs
               << " programs, " << sweep.map_facts << " facts, "
-              << sweep.robust_checked << " checked (0 denied), "
-              << sweep.precleared_ops << " ops precleared\n";
+              << sweep.robust_checked << " checked (0 denied)\n";
 }
 
 TEST(StaticDifferential, MapPreclearNeverDeniedFuturistic)
@@ -164,15 +156,12 @@ TEST(StaticDifferential, MapPreclearNeverDeniedFuturistic)
     MapDifferentialSweepResult sweep;
     runMapSeeds(1, 128, AttackModel::kFuturistic, sweep);
     EXPECT_EQ(sweep.robust_denied, 0u);
-    EXPECT_EQ(sweep.arch_divergences, 0u);
     EXPECT_EQ(sweep.unhalted, 0u);
     EXPECT_GT(sweep.robust_checked, 0u) << "gate is vacuous";
-    EXPECT_GT(sweep.precleared_ops, 0u)
-        << "relaxation never fired — gate is vacuous";
+    EXPECT_GT(sweep.map_facts, 0u);
     std::cout << "[map-differential] futuristic: " << sweep.programs
               << " programs, " << sweep.map_facts << " facts, "
-              << sweep.robust_checked << " checked (0 denied), "
-              << sweep.precleared_ops << " ops precleared\n";
+              << sweep.robust_checked << " checked (0 denied)\n";
 }
 
 TEST(StaticDifferential, DefaultFuzzConfigSpotChecks)

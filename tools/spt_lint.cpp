@@ -4,8 +4,8 @@
  * knowledge-propagation pass and the secret-flow lint over bundled
  * workloads, the Section 9.1 attack programs, or an assembly file,
  * and prints per-instruction findings. It is also the knowledge-map
- * compiler: `--emit-knowledge-map` lowers the fixpoint into the
- * binary artifact the SPT engine consumes at rename (DESIGN.md §13).
+ * compiler: `--emit-knowledge-map` lowers the fixpoint into a binary
+ * per-PC artifact of robust facts (DESIGN.md §13).
  *
  * Usage:
  *   spt_lint [options] <target>...

@@ -46,7 +46,6 @@
 #include "common/cli.h"
 #include "common/json.h"
 #include "common/logging.h"
-#include "core/knowledge_map.h"
 #include "sim/simulator.h"
 #include "workloads/workloads.h"
 
@@ -75,7 +74,6 @@ struct Options {
     uint64_t interval_stats = 0;
     std::string interval_out = "spt_intervals.json";
     bool fast_forward = false;
-    std::string knowledge_map;
 };
 
 [[noreturn]] void
@@ -92,8 +90,6 @@ usage(const char *argv0)
         "  --enable-shadow-l1           track L1D data taint\n"
         "  --enable-shadow-mem          track all-memory data taint\n"
         "  --broadcast-width <n>        untaint broadcast width\n"
-        "  --knowledge-map <path>       pre-declassify from a "
-        "spt_lint-compiled map\n"
         "  --stt                        run the STT baseline\n"
         "  --secure-baseline            delay loads/stores to VP\n"
         "  --track-insts                verbose untaint statistics\n"
@@ -153,8 +149,6 @@ parse(int argc, char **argv)
             opt.broadcast_width = static_cast<unsigned>(
                 parseUnsigned(needValue(argc, argv, i),
                               "--broadcast-width", 64));
-        else if (a == "--knowledge-map")
-            opt.knowledge_map = needValue(argc, argv, i);
         else if (a == "--track-insts")
             opt.track_insts = true;
         else if (a == "--output-dir")
@@ -190,7 +184,7 @@ parse(int argc, char **argv)
 }
 
 SimConfig
-buildConfig(const Options &opt, const KnowledgeMap *map)
+buildConfig(const Options &opt)
 {
     SimConfig cfg;
     if (opt.shadow_l1 && opt.shadow_mem)
@@ -227,7 +221,6 @@ buildConfig(const Options &opt, const KnowledgeMap *map)
             : opt.shadow_l1 ? ShadowKind::kShadowL1
                             : ShadowKind::kNone;
         cfg.engine.spt.broadcast_width = opt.broadcast_width;
-        cfg.engine.spt.knowledge_map = map;
     } else {
         cfg.engine.scheme = ProtectionScheme::kUnsafeBaseline;
     }
@@ -273,15 +266,7 @@ main(int argc, char **argv)
 
     {
         const Workload &w = workloadByName(opt.workload);
-        KnowledgeMap map;
-        const KnowledgeMap *map_ptr = nullptr;
-        if (!opt.knowledge_map.empty()) {
-            if (!opt.enable_spt)
-                SPT_FATAL("--knowledge-map requires --enable-spt");
-            map = KnowledgeMap::loadFromFile(opt.knowledge_map);
-            map_ptr = &map;
-        }
-        const SimConfig cfg = buildConfig(opt, map_ptr);
+        const SimConfig cfg = buildConfig(opt);
         Simulator sim(w.program, cfg);
         std::ofstream trace_out, pipeview_out;
         if (opt.trace) {

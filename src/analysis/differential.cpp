@@ -5,10 +5,8 @@
 #include <unordered_map>
 
 #include "analysis/cfg.h"
-#include "analysis/knowledge_map.h"
 #include "common/logging.h"
 #include "common/parallel.h"
-#include "isa/introspect.h"
 #include "uarch/core.h"
 
 namespace spt {
@@ -71,30 +69,6 @@ class CheckingEngine : public SptEngine
     DifferentialResult &result_;
 };
 
-/** Runs @p program to completion on the out-of-order core under an
- *  ideal-untaint CheckingEngine that checks @p claims at commit. */
-DifferentialResult
-runChecked(const Program &program,
-           std::unordered_map<uint64_t, std::vector<SlotClaim>> claims,
-           const DifferentialConfig &config)
-{
-    DifferentialResult result;
-    SptConfig spt;
-    spt.method = UntaintMethod::kIdeal;
-    spt.shadow = config.shadow;
-    auto engine =
-        std::make_unique<CheckingEngine>(spt, std::move(claims),
-                                         result);
-    CoreParams cp;
-    cp.attack_model = config.attack_model;
-    cp.perfect_icache = true;
-    Core core(program, cp, MemorySystemParams{}, std::move(engine));
-    while (!core.halted() && core.cycle() < config.max_cycles)
-        core.tick();
-    result.halted = core.halted();
-    return result;
-}
-
 } // namespace
 
 DifferentialResult
@@ -114,67 +88,22 @@ runDifferential(const Program &program,
         if (!at.empty())
             claims.emplace(pc, std::move(at));
     }
-    return runChecked(program, std::move(claims), config);
-}
 
-MapDifferentialResult
-runMapDifferential(const Program &program, const KnowledgeMap &map,
-                   const DifferentialConfig &config)
-{
-    map.validateFor(program, config.attack_model);
-
-    // Every map fact is a robust claim on one source operand.
-    std::unordered_map<uint64_t, std::vector<SlotClaim>> claims;
-    for (uint64_t pc = 0; pc < program.size(); ++pc) {
-        const uint32_t robust = map.robustRegsAt(pc);
-        if (robust == 0)
-            continue;
-        const SrcRegs s = srcRegs(program.at(pc));
-        std::vector<SlotClaim> at;
-        for (uint8_t i = 0; i < s.count; ++i)
-            if (robust >> s.reg[i] & 1)
-                at.push_back({pc, i, Knowledge::kRobust});
-        if (!at.empty())
-            claims.emplace(pc, std::move(at));
-    }
-    DifferentialResult checked =
-        runChecked(program, std::move(claims), config);
-
-    MapDifferentialResult result;
-    result.halted = checked.halted;
-    result.map_facts = map.totalFacts();
-    result.robust_checked = checked.robust_checked;
-    result.robust_denied = checked.robust_denied;
-    result.log = std::move(checked.log);
+    DifferentialResult result;
+    SptConfig spt;
+    spt.method = UntaintMethod::kIdeal;
+    spt.shadow = config.shadow;
+    auto engine =
+        std::make_unique<CheckingEngine>(spt, std::move(claims),
+                                         result);
+    CoreParams cp;
+    cp.attack_model = config.attack_model;
+    cp.perfect_icache = true;
+    Core core(program, cp, MemorySystemParams{}, std::move(engine));
+    while (!core.halted() && core.cycle() < config.max_cycles)
+        core.tick();
+    result.halted = core.halted();
     return result;
-}
-
-MapDifferentialSweepResult
-runMapDifferentialSweep(uint64_t first_seed, unsigned count,
-                        const FuzzConfig &fuzz,
-                        const DifferentialConfig &config)
-{
-    MapDifferentialSweepResult sweep;
-    sweep.per_program.resize(count);
-    // Slot-indexed as in runDifferentialSweep: each seed's program,
-    // analysis, map, and core are worker-local, so the assembled
-    // vector is identical for any jobs value.
-    parallelFor(count, config.jobs, [&](std::size_t i) {
-        const Program program = fuzzProgram(first_seed + i, fuzz);
-        const Cfg cfg(program);
-        const KnowledgeAnalysis analysis(cfg);
-        const KnowledgeMap map = emitKnowledgeMap(analysis);
-        sweep.per_program[i] =
-            runMapDifferential(program, map, config);
-    });
-    for (const MapDifferentialResult &res : sweep.per_program) {
-        ++sweep.programs;
-        sweep.map_facts += res.map_facts;
-        sweep.robust_checked += res.robust_checked;
-        sweep.robust_denied += res.robust_denied;
-        sweep.unhalted += !res.halted;
-    }
-    return sweep;
 }
 
 DifferentialSweepResult

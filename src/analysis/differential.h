@@ -93,48 +93,6 @@ runDifferentialSweep(uint64_t first_seed, unsigned count,
                      const FuzzConfig &fuzz,
                      const DifferentialConfig &config);
 
-// --------------------------------------------------------------------
-// Knowledge-map soundness gate (DESIGN.md §13)
-// --------------------------------------------------------------------
-
-class KnowledgeMap;
-
-/** Verdict of one program's map check: an ideal-untaint
- *  CheckingEngine validates every map fact (each source operand the
- *  map marks robust at its pc) against the dynamic taint state at
- *  commit — a fact the engine retires tainted is a hard denial. */
-struct MapDifferentialResult {
-    bool halted = false;
-    uint64_t map_facts = 0;       ///< robust facts in the map
-    uint64_t robust_checked = 0;  ///< facts checked at retire
-    uint64_t robust_denied = 0;   ///< hard denials; must be 0
-    std::vector<std::string> log; ///< one line per denial
-};
-
-/** Runs the map check. @p map must have been emitted over
- *  @p program (fingerprint-validated). */
-MapDifferentialResult
-runMapDifferential(const Program &program, const KnowledgeMap &map,
-                   const DifferentialConfig &config);
-
-/** Aggregate of a fuzzed map campaign; `per_program[i]` is seed
- *  `first_seed + i` for any worker count. */
-struct MapDifferentialSweepResult {
-    std::vector<MapDifferentialResult> per_program;
-    uint64_t programs = 0;
-    uint64_t map_facts = 0;
-    uint64_t robust_checked = 0;
-    uint64_t robust_denied = 0;
-    uint64_t unhalted = 0;
-};
-
-/** Fuzzes `count` programs, emits a knowledge map for each, and
- *  runs the map check per seed on `config.jobs` workers. */
-MapDifferentialSweepResult
-runMapDifferentialSweep(uint64_t first_seed, unsigned count,
-                        const FuzzConfig &fuzz,
-                        const DifferentialConfig &config);
-
 } // namespace spt
 
 #endif // SPT_ANALYSIS_DIFFERENTIAL_H

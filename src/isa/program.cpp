@@ -1,5 +1,6 @@
 #include "isa/program.h"
 
+#include "common/fnv.h"
 #include "common/logging.h"
 #include "isa/encoding.h"
 
@@ -84,6 +85,32 @@ Program::markSecret(uint64_t addr, uint64_t len)
 {
     SPT_ASSERT(len > 0, "markSecret: empty range at " << addr);
     secrets_.push_back({addr, len});
+}
+
+uint64_t
+Program::fingerprint() const
+{
+    uint64_t h = kFnvOffset;
+    fnv1aU64(h, code_.size());
+    fnv1aU64(h, entry_);
+    for (const Instruction &si : code_) {
+        fnv1aU64(h, static_cast<uint64_t>(si.op));
+        fnv1aU64(h, si.rd);
+        fnv1aU64(h, si.rs1);
+        fnv1aU64(h, si.rs2);
+        fnv1aU64(h, static_cast<uint64_t>(si.imm));
+    }
+    for (const auto &[addr, seg] : data_) {
+        fnv1aU64(h, addr);
+        fnv1aU64(h, seg.size());
+        for (uint8_t byte : seg)
+            fnv1aU64Byte(h, byte);
+    }
+    for (const SecretRange &r : secrets_) {
+        fnv1aU64(h, r.base);
+        fnv1aU64(h, r.len);
+    }
+    return h;
 }
 
 void

@@ -99,6 +99,13 @@ class Program
         return secrets_;
     }
 
+    /** Content fingerprint: FNV-1a over the instruction stream (all
+     *  fields), entry pc, data segments (addresses and bytes) and
+     *  secret ranges; symbols are left out. Same-shaped programs with
+     *  different code or data differ. The result cache keys runs on
+     *  it (sim/result_cache.h), so its values are pinned by test. */
+    uint64_t fingerprint() const;
+
   private:
     std::vector<Instruction> code_;
     std::map<uint64_t, std::vector<uint8_t>> data_;

@@ -73,15 +73,6 @@ SetAssocCache::wayOf(uint64_t addr) const
     return static_cast<unsigned>(w);
 }
 
-MesiState
-SetAssocCache::state(uint64_t addr) const
-{
-    const int w = findWay(addr);
-    return w < 0 ? MesiState::kInvalid
-                 : lineAt(setOf(addr),
-                          static_cast<unsigned>(w)).state;
-}
-
 bool
 SetAssocCache::access(uint64_t addr, bool is_write)
 {
@@ -91,31 +82,19 @@ SetAssocCache::access(uint64_t addr, bool is_write)
         stats_.inc(is_write ? "write_misses" : "read_misses");
         return false;
     }
-    Line &line = lineAt(setOf(addr), static_cast<unsigned>(w));
-    line.lru = tick_;
-    if (is_write) {
-        // S->M would require invalidations in a multi-agent system;
-        // the single-requestor hierarchy upgrades silently. E->M is
-        // always silent under MESI.
-        line.state = MesiState::kModified;
-    }
+    lineAt(setOf(addr), static_cast<unsigned>(w)).lru = tick_;
     stats_.inc(is_write ? "write_hits" : "read_hits");
     return true;
 }
 
-SetAssocCache::Eviction
-SetAssocCache::fill(uint64_t addr, MesiState st)
+void
+SetAssocCache::fill(uint64_t addr)
 {
     ++tick_;
-    Eviction ev;
     const unsigned set = setOf(addr);
-    int w = findWay(addr);
-    if (w >= 0) {
-        Line &line = lineAt(set, static_cast<unsigned>(w));
-        line.lru = tick_;
-        if (st == MesiState::kModified)
-            line.state = MesiState::kModified;
-        return ev;
+    if (const int w = findWay(addr); w >= 0) {
+        lineAt(set, static_cast<unsigned>(w)).lru = tick_;
+        return;
     }
     // Choose a victim: an invalid way, else the LRU way.
     unsigned victim = 0;
@@ -124,7 +103,6 @@ SetAssocCache::fill(uint64_t addr, MesiState st)
         const Line &line = lineAt(set, i);
         if (!line.valid) {
             victim = i;
-            oldest = 0;
             break;
         }
         if (line.lru < oldest) {
@@ -133,43 +111,28 @@ SetAssocCache::fill(uint64_t addr, MesiState st)
         }
     }
     Line &line = lineAt(set, victim);
-    if (line.valid) {
-        ev.valid = true;
-        ev.line_addr =
-            (line.tag * num_sets_ + set) * params_.line_bytes;
-        ev.dirty = line.state == MesiState::kModified;
-        stats_.inc("evictions");
-        if (ev.dirty)
-            stats_.inc("dirty_evictions");
-        if (observer_)
-            observer_->onEvict(ev.line_addr, set, victim);
-    }
+    if (line.valid && observer_)
+        observer_->onEvict(
+            (line.tag * num_sets_ + set) * params_.line_bytes, set,
+            victim);
     line.valid = true;
     line.tag = tagOf(addr);
     line.lru = tick_;
-    line.state = st;
-    stats_.inc("fills");
     if (observer_)
         observer_->onFill(lineAddr(addr), set, victim);
-    return ev;
 }
 
-std::optional<bool>
+void
 SetAssocCache::invalidate(uint64_t addr)
 {
     const int w = findWay(addr);
     if (w < 0)
-        return std::nullopt;
+        return;
     const unsigned set = setOf(addr);
-    Line &line = lineAt(set, static_cast<unsigned>(w));
-    const bool dirty = line.state == MesiState::kModified;
-    line.valid = false;
-    line.state = MesiState::kInvalid;
-    stats_.inc("invalidations");
+    lineAt(set, static_cast<unsigned>(w)).valid = false;
     if (observer_)
         observer_->onEvict(lineAddr(addr), set,
                            static_cast<unsigned>(w));
-    return dirty;
 }
 
 } // namespace spt

@@ -1,12 +1,11 @@
 /**
  * @file
- * Set-associative cache tag array with LRU replacement and per-line
- * MESI state. Data itself lives in the simulator's backing
- * ByteMemory; the cache tracks presence, state, and recency for
- * timing, and exposes fill/evict events to observers (the SPT shadow
- * L1 mirrors this cache's geometry by listening to those events,
- * exactly as the paper connects the L1D tag-check and eviction
- * outputs to the shadow L1 in Section 7.5).
+ * Set-associative cache tag array with LRU replacement. Data itself
+ * lives in the simulator's backing ByteMemory; the cache tracks
+ * presence and recency for timing, and exposes fill/evict events to
+ * observers (the SPT shadow L1 mirrors this cache's geometry by
+ * listening to those events, exactly as the paper connects the L1D
+ * tag-check and eviction outputs to the shadow L1 in Section 7.5).
  */
 
 #ifndef SPT_MEM_CACHE_H
@@ -20,13 +19,6 @@
 #include "common/stats.h"
 
 namespace spt {
-
-enum class MesiState : uint8_t {
-    kInvalid,
-    kShared,
-    kExclusive,
-    kModified,
-};
 
 struct CacheParams {
     std::string name = "cache";
@@ -50,30 +42,22 @@ class CacheObserver
 class SetAssocCache
 {
   public:
-    struct Eviction {
-        bool valid = false;
-        uint64_t line_addr = 0;
-        bool dirty = false;
-    };
-
     explicit SetAssocCache(const CacheParams &params);
 
     /** Presence probe without any state change (attacker oracle /
      *  tests). */
     bool contains(uint64_t addr) const;
 
-    /** Looks up @p addr; on hit updates LRU and (for writes)
-     *  upgrades MESI state to Modified. Returns hit/miss. */
+    /** Looks up @p addr; on hit updates LRU. @p is_write only picks
+     *  the hit/miss counter. Returns hit/miss. */
     bool access(uint64_t addr, bool is_write);
 
-    /** Allocates a line for @p addr in @p state, evicting the LRU
-     *  victim if needed. No-op (refresh) if already present. */
-    Eviction fill(uint64_t addr, MesiState state);
+    /** Allocates a line for @p addr, evicting the LRU victim if
+     *  needed. Refreshes LRU only if already present. */
+    void fill(uint64_t addr);
 
-    /** Invalidates a line if present; returns whether it was dirty. */
-    std::optional<bool> invalidate(uint64_t addr);
-
-    MesiState state(uint64_t addr) const;
+    /** Invalidates the line holding @p addr, if present. */
+    void invalidate(uint64_t addr);
 
     const CacheParams &params() const { return params_; }
     unsigned numSets() const { return num_sets_; }
@@ -96,7 +80,6 @@ class SetAssocCache
         bool valid = false;
         uint64_t tag = 0;
         uint64_t lru = 0;
-        MesiState state = MesiState::kInvalid;
     };
 
     CacheParams params_;

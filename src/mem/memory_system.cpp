@@ -105,16 +105,12 @@ MemorySystem::access(uint64_t addr, AccessKind kind, uint64_t now)
         }
     }
 
-    // Fill the inclusive hierarchy. The core is the only requester,
-    // so it always owns the line: Exclusive to read, Modified to
-    // write.
-    const MesiState fill_state =
-        is_write ? MesiState::kModified : MesiState::kExclusive;
+    // Fill the inclusive hierarchy.
     if (hit_level >= 4)
-        l3_.fill(line, MesiState::kShared);
+        l3_.fill(line);
     if (hit_level >= 3)
-        l2_.fill(line, fill_state);
-    l1.fill(line, fill_state);
+        l2_.fill(line);
+    l1.fill(line);
 
     result.latency = latency;
     result.hit_level = hit_level;

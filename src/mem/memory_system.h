@@ -11,10 +11,8 @@
  * retries.
  *
  * The core is the hierarchy's only requester, so there is no
- * coherence directory: a read miss fills the private levels
- * Exclusive, a write miss fills them Modified, and the shared L3
- * fills Shared. The state bits only mark dirty lines; no latency
- * depends on them.
+ * coherence directory and lines carry no coherence state: a line is
+ * present or not, and no latency depends on whether it was written.
  */
 
 #ifndef SPT_MEM_MEMORY_SYSTEM_H

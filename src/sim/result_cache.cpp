@@ -10,9 +10,10 @@
 
 #include <unistd.h>
 
+#include "common/fnv.h"
 #include "common/logging.h"
 #include "common/stats.h"
-#include "core/knowledge_map.h"
+#include "isa/program.h"
 #include "sim/exp_runner.h"
 
 namespace spt {
@@ -21,20 +22,6 @@ namespace {
 
 constexpr uint64_t kMagic = 0x5350545245533031ull; // "SPTRES01"
 constexpr uint32_t kVersion = 1;
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t
-fnvBytes(const char *data, std::size_t len,
-         uint64_t h = kFnvOffset)
-{
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= static_cast<uint8_t>(data[i]);
-        h *= kFnvPrime;
-    }
-    return h;
-}
 
 std::string
 hex16(uint64_t v)
@@ -237,10 +224,10 @@ ResultCache::canonicalKey(const RunJob &job, KeyHashMemo *memo)
         const auto [it, inserted] =
             memo->programs.try_emplace(job.program, 0);
         if (inserted)
-            it->second = KnowledgeMap::fingerprintOf(*job.program);
+            it->second = job.program->fingerprint();
         prog = it->second;
     } else {
-        prog = KnowledgeMap::fingerprintOf(*job.program);
+        prog = job.program->fingerprint();
     }
 
     // Every descriptor field except `label` (presentation, not
@@ -409,8 +396,7 @@ ResultCache::encodeOutcomeDeterministic(const RunOutcome &out)
 std::string
 ResultCache::entryPath(const std::string &key) const
 {
-    return dir_ + "/" + hex16(fnvBytes(key.data(), key.size())) +
-           ".sptres";
+    return dir_ + "/" + hex16(fnv1a(key)) + ".sptres";
 }
 
 bool
@@ -430,7 +416,8 @@ ResultCache::lookup(const std::string &key, RunOutcome *out)
             // point may assume the bytes are what was written.
             const std::size_t body = record.size() - 8;
             Reader trailer(record, body);
-            if (trailer.u64() != fnvBytes(record.data(), body))
+            if (trailer.u64() !=
+                fnv1a(std::string_view(record).substr(0, body)))
                 SPT_FATAL("result record content hash mismatch");
             Reader rd(record);
             if (rd.u64() != kMagic)
@@ -479,7 +466,7 @@ ResultCache::store(const std::string &key, const RunOutcome &out)
     putU32(record, kVersion);
     putStr(record, key);
     putStr(record, encodeOutcome(out));
-    putU64(record, fnvBytes(record.data(), record.size()));
+    putU64(record, fnv1a(record));
 
     const std::string path = entryPath(key);
     const bool ok = writeAtomically(path, record);

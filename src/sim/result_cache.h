@@ -5,28 +5,26 @@
  *
  * Jobs are keyed by *content*. `canonicalKey` serializes the
  * full job descriptor into a stable text form in which the program
- * is replaced by its content fingerprint
- * (KnowledgeMap::fingerprintOf: instruction stream, entry, data
- * segments, secret ranges), plus every scalar field of the
- * descriptor (engine configuration, attack model, seed, cycle
- * budget, fault plan, observability flags). Two jobs with equal
- * canonical keys are the same pure function: the simulator is
- * deterministic and byte-identical at any worker count, so serving
- * a hit from disk is provably exact, not approximate. `verify` mode
- * makes that claim testable by re-simulating hits and comparing the
- * deterministic portion of the outcome byte-for-byte. The same key
- * is ExpRunner's in-sweep dedup key (sim/exp_runner.h), so one
- * notion of "same job" covers both a grid's duplicate cells and
- * reruns in later processes.
+ * is replaced by its content fingerprint (Program::fingerprint:
+ * instruction stream, entry, data segments, secret ranges), plus
+ * every scalar field of the descriptor (engine configuration,
+ * attack model, seed, cycle budget, fault plan, observability
+ * flags). Two jobs with equal canonical keys are the same pure
+ * function: the simulator is deterministic and byte-identical at
+ * any worker count, so serving a hit from disk is provably exact,
+ * not approximate. `verify` mode makes that claim testable by
+ * re-simulating hits and comparing the deterministic portion of the
+ * outcome byte-for-byte. The same key is ExpRunner's in-sweep dedup
+ * key (sim/exp_runner.h), so one notion of "same job" covers both a
+ * grid's duplicate cells and reruns in later processes.
  *
- * Record format ("SPTRES01", following the SPTKMAP1 codec
- * conventions): versioned, explicit little-endian, bounds-checked,
- * with the full canonical key embedded (64-bit filename hashes can
- * collide; the key comparison cannot) and an FNV-1a content-hash
- * trailer. A record that is truncated, bit-rotten, version-skewed,
- * or belongs to a colliding key decodes to "miss" — a corrupt
- * cache degrades to simulation, it never poisons a sweep or kills
- * it.
+ * Record format ("SPTRES01"): magic and version, explicit
+ * little-endian, bounds-checked, with the full canonical key
+ * embedded (64-bit filename hashes can collide; the key comparison
+ * cannot) and an FNV-1a content-hash trailer (common/fnv.h). A
+ * record that is truncated, bit-rotten, version-skewed, or belongs
+ * to a colliding key decodes to "miss" — a corrupt cache degrades
+ * to simulation, it never poisons a sweep or kills it.
  *
  * Only `RunStatus::kOk` outcomes are stored: failure slots
  * re-simulate so default-policy sweeps still rethrow the original

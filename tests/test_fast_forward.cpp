@@ -119,7 +119,7 @@ class FastForwardGoldenTest : public testing::TestWithParam<size_t>
 {
 };
 
-TEST_P(FastForwardGoldenTest, SkippingAndStorageAreInvisible)
+TEST_P(FastForwardGoldenTest, SkippingIsInvisible)
 {
     const GoldenCase &c = goldenSuite().at(GetParam());
 

@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fnv.h"
 #include "sim/simulator.h"
 #include "workloads/golden_suite.h"
 
@@ -116,17 +117,6 @@ goldenStatsHashes()
 #include "golden_stats_hashes.inc"
     };
     return g;
-}
-
-uint64_t
-fnv1a(const std::string &text)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (const char c : text) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
 }
 
 /** Parameter i runs case i / #configs under config i % #configs,

@@ -2,7 +2,8 @@
  * @file
  * Unit and property tests for the TRISC ISA: opcode traits
  * invariants, functional semantics, load finishing, binary encoding
- * round trips, and register-name parsing.
+ * round trips, register-name parsing, and the pinned program
+ * fingerprint.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +12,9 @@
 #include "common/rng.h"
 #include "isa/encoding.h"
 #include "isa/instruction.h"
+#include "isa/program.h"
 #include "isa/semantics.h"
+#include "workloads/workloads.h"
 
 namespace spt {
 namespace {
@@ -265,6 +268,21 @@ TEST(Registers, ToString)
     EXPECT_EQ(toString({Opcode::kBeq, 0, 1, 2, 4}),
               "beq x1, x2, 4");
     EXPECT_EQ(toString({Opcode::kHalt, 0, 0, 0, 0}), "halt");
+}
+
+// --------------------------------------------------------------------
+// Program fingerprint
+// --------------------------------------------------------------------
+
+TEST(Program, FingerprintsArePinned)
+{
+    // The result-cache key embeds these fingerprints: a rewrite of
+    // Program::fingerprint that changes any value rolls every cache
+    // key.
+    EXPECT_EQ(workloadByName("ct-aes-bitslice").program.fingerprint(),
+              0xb1c099256cae55feull);
+    EXPECT_EQ(workloadByName("spmv").program.fingerprint(),
+              0x70a8cde4bea65626ull);
 }
 
 } // namespace

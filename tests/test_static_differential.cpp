@@ -17,6 +17,7 @@
 #include "analysis/differential.h"
 #include "analysis/knowledge_analysis.h"
 #include "isa/program_fuzzer.h"
+#include "workloads/workloads.h"
 
 namespace spt {
 namespace {
@@ -84,7 +85,7 @@ report(const char *name, const Totals &totals)
               << " windowed claims, denial rate " << rate << "\n";
 }
 
-// 120 seeds x 2 attack models = 240 fuzzed programs, exceeding the
+// 128 seeds x 2 attack models = 256 fuzzed programs, exceeding the
 // 200-program acceptance floor, with a compact FuzzConfig so the
 // whole sweep stays inside tier-1 time budgets.
 constexpr FuzzConfig kSmall{
@@ -96,72 +97,15 @@ constexpr FuzzConfig kSmall{
 TEST(StaticDifferential, SpectreModelRobustClaimsNeverDenied)
 {
     Totals totals;
-    runSeeds(1, 120, kSmall, AttackModel::kSpectre, totals);
+    runSeeds(1, 128, kSmall, AttackModel::kSpectre, totals);
     report("spectre", totals);
 }
 
 TEST(StaticDifferential, FuturisticModelRobustClaimsNeverDenied)
 {
     Totals totals;
-    runSeeds(1, 120, kSmall, AttackModel::kFuturistic, totals);
+    runSeeds(1, 128, kSmall, AttackModel::kFuturistic, totals);
     report("futuristic", totals);
-}
-
-// ---------------------------------------------------------------
-// Knowledge-map soundness gate (DESIGN.md §13): every fact of the
-// emitted map is checked against the ideal-untaint engine at commit
-// (hard denial). 128 seeds x 2 models = 256 programs.
-// ---------------------------------------------------------------
-
-void
-runMapSeeds(uint64_t first_seed, unsigned count, AttackModel model,
-            MapDifferentialSweepResult &out)
-{
-    DifferentialConfig config;
-    config.attack_model = model;
-    const MapDifferentialSweepResult sweep =
-        runMapDifferentialSweep(first_seed, count, kSmall, config);
-    ASSERT_EQ(sweep.per_program.size(), count);
-    for (unsigned i = 0; i < count; ++i) {
-        const MapDifferentialResult &res = sweep.per_program[i];
-        const uint64_t seed = first_seed + i;
-        EXPECT_TRUE(res.halted) << "seed " << seed;
-        EXPECT_EQ(res.robust_denied, 0u)
-            << "seed " << seed << "\n"
-            << [&] {
-                   std::string joined;
-                   for (const std::string &line : res.log)
-                       joined += line + "\n";
-                   return joined;
-               }();
-    }
-    out = sweep;
-}
-
-TEST(StaticDifferential, MapPreclearNeverDeniedSpectre)
-{
-    MapDifferentialSweepResult sweep;
-    runMapSeeds(1, 128, AttackModel::kSpectre, sweep);
-    EXPECT_EQ(sweep.robust_denied, 0u);
-    EXPECT_EQ(sweep.unhalted, 0u);
-    EXPECT_GT(sweep.robust_checked, 0u) << "gate is vacuous";
-    EXPECT_GT(sweep.map_facts, 0u);
-    std::cout << "[map-differential] spectre: " << sweep.programs
-              << " programs, " << sweep.map_facts << " facts, "
-              << sweep.robust_checked << " checked (0 denied)\n";
-}
-
-TEST(StaticDifferential, MapPreclearNeverDeniedFuturistic)
-{
-    MapDifferentialSweepResult sweep;
-    runMapSeeds(1, 128, AttackModel::kFuturistic, sweep);
-    EXPECT_EQ(sweep.robust_denied, 0u);
-    EXPECT_EQ(sweep.unhalted, 0u);
-    EXPECT_GT(sweep.robust_checked, 0u) << "gate is vacuous";
-    EXPECT_GT(sweep.map_facts, 0u);
-    std::cout << "[map-differential] futuristic: " << sweep.programs
-              << " programs, " << sweep.map_facts << " facts, "
-              << sweep.robust_checked << " checked (0 denied)\n";
 }
 
 TEST(StaticDifferential, DefaultFuzzConfigSpotChecks)
@@ -178,6 +122,26 @@ TEST(StaticDifferential, DefaultFuzzConfigSpotChecks)
                    : "futuristic/default",
                totals);
     }
+}
+
+TEST(StaticDifferential, RobustClaimsHoldAtCommitOnPchase)
+{
+    // A full bundled workload rather than a fuzzed one: every robust
+    // claim of the analysis holds when its reader retires.
+    const Program p = workloadByName("pchase").program;
+    const Cfg cfg(p);
+    const KnowledgeAnalysis analysis(cfg);
+    DifferentialConfig config;
+    config.attack_model = AttackModel::kSpectre;
+    const DifferentialResult res = runDifferential(p, analysis, config);
+    EXPECT_TRUE(res.halted);
+    EXPECT_GT(res.robust_checked, 0u) << "check is vacuous";
+    EXPECT_EQ(res.robust_denied, 0u) << [&] {
+        std::string joined;
+        for (const std::string &line : res.log)
+            joined += line + "\n";
+        return joined;
+    }();
 }
 
 } // namespace

@@ -38,14 +38,14 @@ TEST_F(ShadowL1Test, NonResidentLinesAreTainted)
 
 TEST_F(ShadowL1Test, FreshFillIsFullyTainted)
 {
-    l1d_.fill(0x4000, MesiState::kExclusive);
+    l1d_.fill(0x4000);
     EXPECT_EQ(shadow_.readTaint(0x4000, 8), 0xff);
     EXPECT_EQ(shadow_.readTaint(0x4000 + 56, 8), 0xff);
 }
 
 TEST_F(ShadowL1Test, ClearAndWriteTaint)
 {
-    l1d_.fill(0x4000, MesiState::kExclusive);
+    l1d_.fill(0x4000);
     shadow_.clearTaint(0x4000, 8);
     EXPECT_EQ(shadow_.readTaint(0x4000, 8), 0x00);
     // Neighboring bytes in the line keep their taint.
@@ -58,13 +58,13 @@ TEST_F(ShadowL1Test, ClearAndWriteTaint)
 
 TEST_F(ShadowL1Test, EvictionRestoresTaint)
 {
-    l1d_.fill(0x4000, MesiState::kExclusive);
+    l1d_.fill(0x4000);
     shadow_.clearTaint(0x4000, 64);
     EXPECT_EQ(shadow_.readTaint(0x4000, 8), 0x00);
     l1d_.invalidate(0x4000);
     EXPECT_EQ(shadow_.readTaint(0x4000, 8), 0xff);
     // Refill: tainted again (taint was lost with the line).
-    l1d_.fill(0x4000, MesiState::kExclusive);
+    l1d_.fill(0x4000);
     EXPECT_EQ(shadow_.readTaint(0x4000, 8), 0xff);
 }
 
@@ -74,10 +74,10 @@ TEST_F(ShadowL1Test, ConflictEvictionViaLru)
     // and the evicted line's cleared taint must not leak into the
     // new occupant.
     const uint64_t set_stride = 64ull * l1d_.numSets();
-    l1d_.fill(0x0, MesiState::kExclusive);
+    l1d_.fill(0x0);
     shadow_.clearTaint(0x0, 64);
     for (unsigned w = 1; w <= 8; ++w)
-        l1d_.fill(w * set_stride, MesiState::kExclusive);
+        l1d_.fill(w * set_stride);
     EXPECT_FALSE(l1d_.contains(0x0));
     EXPECT_EQ(shadow_.readTaint(0x0, 8), 0xff);
     EXPECT_EQ(shadow_.readTaint(8 * set_stride, 8), 0xff);
@@ -85,7 +85,7 @@ TEST_F(ShadowL1Test, ConflictEvictionViaLru)
 
 TEST_F(ShadowL1Test, LineStraddleIsConservative)
 {
-    l1d_.fill(0x4000, MesiState::kExclusive);
+    l1d_.fill(0x4000);
     shadow_.clearTaint(0x4038, 8); // last 8 bytes of the line
     // An 8-byte read starting 4 bytes before the line end straddles
     // into the next (non-resident) line: tail bytes stay tainted.

@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "sim/exp_runner.h"
@@ -49,17 +50,6 @@
 using namespace spt;
 
 namespace {
-
-uint64_t
-fnv1a(const std::string &text)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (const char c : text) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 /** The --stats-hashes mode: one line per (case, config) pair, in
  *  suite-major order, byte-identical for any --jobs value. */

@@ -3,9 +3,7 @@
  * Static constant-time lint driver: builds the CFG, runs the
  * knowledge-propagation pass and the secret-flow lint over bundled
  * workloads, the Section 9.1 attack programs, or an assembly file,
- * and prints per-instruction findings. It is also the knowledge-map
- * compiler: `--emit-knowledge-map` lowers the fixpoint into a binary
- * per-PC artifact of robust facts (DESIGN.md §13).
+ * and prints per-instruction findings.
  *
  * Usage:
  *   spt_lint [options] <target>...
@@ -16,13 +14,6 @@
  *   --print-knowledge print per-instruction operand knowledge
  *   --json            machine-readable report on stdout instead of
  *                     the human text (same exit codes)
- *   --emit-knowledge-map=FILE
- *                     compile the target's kRobust facts into a
- *                     binary knowledge map (exactly one target)
- *   --map-json=FILE   also dump the map as JSON (exactly one target)
- *   --map-vp-model=spectre|futuristic|any
- *                     VP model recorded in the map (default any:
- *                     robust facts are model-independent)
  *   --check-bundled   CI gate: lint every bundled constant-time
  *                     kernel (must be clean) and attack program
  *                     (must have at least one secret-dependent
@@ -37,7 +28,6 @@
 
 #include "analysis/cfg.h"
 #include "analysis/knowledge_analysis.h"
-#include "analysis/knowledge_map.h"
 #include "analysis/secret_flow.h"
 #include "common/cli.h"
 #include "common/json.h"
@@ -55,11 +45,13 @@ struct Options {
     bool print_knowledge = false;
     bool check_bundled = false;
     bool json = false;
-    std::string emit_map;
-    std::string map_json;
-    KnowledgeVpModel vp_model = KnowledgeVpModel::kAny;
     std::vector<std::string> targets;
 };
+
+constexpr const char *kUsage =
+    "usage: spt_lint [--window=N] [--print-knowledge] [--json] "
+    "[--check-bundled] "
+    "[<workload>|spectre-v1|ct-victim|all|file.s]...\n";
 
 struct LintReport {
     size_t findings = 0;
@@ -214,46 +206,6 @@ checkBundled(const Options &opts, JsonWriter *jw)
     return ok ? 0 : 1;
 }
 
-/** Compiles and writes the knowledge-map artifact(s) for the single
- *  target program. */
-void
-emitMapArtifacts(const std::string &name, const Program &prog,
-                 const Options &opts)
-{
-    const Cfg cfg(prog);
-    const KnowledgeAnalysis analysis(cfg);
-    const KnowledgeMap map = emitKnowledgeMap(analysis, opts.vp_model);
-    if (!opts.emit_map.empty()) {
-        map.saveToFile(opts.emit_map);
-        std::cerr << "spt_lint: wrote knowledge map for " << name
-                  << " (" << map.totalFacts() << " robust fact(s) at "
-                  << map.coveredPcs() << " pc(s), vp-model "
-                  << toString(map.vpModel()) << ") to "
-                  << opts.emit_map << "\n";
-    }
-    if (!opts.map_json.empty()) {
-        std::ofstream os(opts.map_json);
-        if (!os)
-            SPT_FATAL("cannot write " << opts.map_json);
-        os << map.toJson(&prog) << "\n";
-        std::cerr << "spt_lint: wrote knowledge map JSON to "
-                  << opts.map_json << "\n";
-    }
-}
-
-KnowledgeVpModel
-parseVpModel(const std::string &s)
-{
-    if (s == "spectre")
-        return KnowledgeVpModel::kSpectre;
-    if (s == "futuristic")
-        return KnowledgeVpModel::kFuturistic;
-    if (s == "any")
-        return KnowledgeVpModel::kAny;
-    SPT_FATAL("--map-vp-model must be spectre|futuristic|any, got '"
-              << s << "'");
-}
-
 } // namespace
 
 int
@@ -261,8 +213,8 @@ main(int argc, char **argv)
 {
     Options opts;
     // Exit codes: 0 clean, 1 findings / check-bundled failure, 2
-    // usage errors (unknown workload or file, malformed --window=),
-    // 70 internal errors — see common/cli.h.
+    // usage errors (unknown option, workload or file, malformed
+    // --window=), 70 internal errors — see common/cli.h.
     return toolMain("spt_lint", [&] {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -275,34 +227,15 @@ main(int argc, char **argv)
             opts.check_bundled = true;
         } else if (arg == "--json") {
             opts.json = true;
-        } else if (arg.rfind("--emit-knowledge-map=", 0) == 0) {
-            opts.emit_map = arg.substr(21);
-        } else if (arg.rfind("--map-json=", 0) == 0) {
-            opts.map_json = arg.substr(11);
-        } else if (arg.rfind("--map-vp-model=", 0) == 0) {
-            opts.vp_model = parseVpModel(arg.substr(15));
         } else if (arg == "--help" || arg == "-h") {
-            std::cout
-                << "usage: spt_lint [--window=N] "
-                   "[--print-knowledge] [--json] "
-                   "[--emit-knowledge-map=FILE] [--map-json=FILE] "
-                   "[--map-vp-model=spectre|futuristic|any] "
-                   "[--check-bundled] "
-                   "[<workload>|spectre-v1|ct-victim|all|file.s]...\n";
+            std::cout << kUsage;
             return 0;
+        } else if (arg.rfind('-', 0) == 0) {
+            std::cerr << "unknown option: " << arg << "\n" << kUsage;
+            return 2;
         } else {
             opts.targets.push_back(arg);
         }
-    }
-
-    const bool emitting =
-        !opts.emit_map.empty() || !opts.map_json.empty();
-    if (emitting &&
-        (opts.check_bundled || opts.targets.size() != 1 ||
-         opts.targets[0] == "all")) {
-        std::cerr << "spt_lint: --emit-knowledge-map/--map-json "
-                     "need exactly one target\n";
-        return 2;
     }
 
     JsonWriter jw;
@@ -338,10 +271,8 @@ main(int argc, char **argv)
                                      out)
                              .findings;
             } else {
-                const Program prog = loadTarget(t);
-                total += lintProgram(t, prog, opts, out).findings;
-                if (emitting)
-                    emitMapArtifacts(t, prog, opts);
+                total +=
+                    lintProgram(t, loadTarget(t), opts, out).findings;
             }
         }
         rc = total == 0 ? 0 : 1;

@@ -22,8 +22,7 @@
  * oversubscribed host the Minstr/s figures degrade from
  * contention — use --jobs 1 for comparable trajectory numbers.
  *
- * Usage: bench_sim_throughput [--jobs N] [--out PATH] (a bare
- * first argument is also accepted as the output path, as before).
+ * Usage: bench_sim_throughput [--jobs N] [--out PATH]
  * Set SPT_BENCH_QUICK=1 to run a reduced workload subset (CI).
  */
 
@@ -74,20 +73,11 @@ minstrPerSec(uint64_t instructions, double seconds)
                : static_cast<double>(instructions) / seconds / 1e6;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    setVerbose(false);
-    // Back-compat: a bare first argument is the output path.
-    BenchOptions opt;
-    if (argc > 1 && argv[1][0] != '-') {
-        opt.jobs = jobsFromArgs(argc - 1, argv + 1);
-        opt.out_path = argv[1];
-    } else {
-        opt = parseBenchArgs(argc, argv, "BENCH_throughput.json");
-    }
+    const BenchOptions opt =
+        parseBenchArgs(argc, argv, "BENCH_throughput.json");
     const bool quick = std::getenv("SPT_BENCH_QUICK") != nullptr;
 
     std::vector<std::string> names = {"pchase",  "interp", "hashtab",
@@ -196,4 +186,13 @@ main(int argc, char **argv)
     writeReportFile(opt.out_path, json.str());
     printf("wrote %s\n", opt.out_path.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return toolMain("bench_sim_throughput",
+                    [&] { return run(argc, argv); });
 }

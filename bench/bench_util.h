@@ -20,10 +20,11 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "sim/exp_runner.h"
-#include "sim/report.h"
 #include "workloads/workloads.h"
 
 namespace spt {
@@ -31,7 +32,8 @@ namespace bench {
 
 /** Common bench CLI: "--jobs N" (or SPT_JOBS), "--out PATH" for the
  *  JSON artifact, and "--cache DIR" / "--cache-mode MODE" for the
- *  on-disk result cache. Unknown arguments are fatal. */
+ *  on-disk result cache. Unknown arguments are fatal: the benches
+ *  run inside toolMain (common/cli.h), so they exit 2. */
 struct BenchOptions {
     unsigned jobs = 1;
     std::string out_path;
@@ -84,10 +86,8 @@ parseBenchArgs(int argc, char **argv, const char *default_out)
 }
 
 /** Reports sweep scheduling metadata on stderr (stdout must stay
- *  byte-identical across --jobs values). Routed through
- *  spt::report() — the unconditional operator channel — so the
- *  `[sweep]`/`[cache]` lines CI greps out of stderr survive any
- *  SPT_LOG_LEVEL and the benches' setVerbose(false). */
+ *  byte-identical across --jobs values) through spt::report(): the
+ *  `[sweep]`/`[cache]` lines CI greps out of stderr. */
 inline void
 reportSweep(const ExpRunner &runner)
 {

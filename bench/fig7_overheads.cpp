@@ -34,12 +34,9 @@ struct ModelSummary {
     bool has_ct = false;
 };
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    setVerbose(false);
     const BenchOptions opt =
         parseBenchArgs(argc, argv, "BENCH_fig7.json");
     const bool quick = std::getenv("SPT_BENCH_QUICK") != nullptr;
@@ -217,4 +214,13 @@ main(int argc, char **argv)
     writeReportFile(opt.out_path, json.str());
     fprintf(stderr, "wrote %s\n", opt.out_path.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return toolMain("fig7_overheads",
+                    [&] { return run(argc, argv); });
 }

@@ -20,10 +20,11 @@
 using namespace spt;
 using namespace spt::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    setVerbose(false);
     const BenchOptions opt =
         parseBenchArgs(argc, argv, "BENCH_fig8.json");
     const bool quick = std::getenv("SPT_BENCH_QUICK") != nullptr;
@@ -119,4 +120,13 @@ main(int argc, char **argv)
     writeReportFile(opt.out_path, json.str());
     fprintf(stderr, "wrote %s\n", opt.out_path.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return toolMain("fig8_untaint_breakdown",
+                    [&] { return run(argc, argv); });
 }

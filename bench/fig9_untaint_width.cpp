@@ -27,10 +27,11 @@
 using namespace spt;
 using namespace spt::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    setVerbose(false);
     const BenchOptions opt =
         parseBenchArgs(argc, argv, "BENCH_fig9.json");
     const bool quick = std::getenv("SPT_BENCH_QUICK") != nullptr;
@@ -163,4 +164,13 @@ main(int argc, char **argv)
     writeReportFile(opt.out_path, json.str());
     fprintf(stderr, "wrote %s\n", opt.out_path.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return toolMain("fig9_untaint_width",
+                    [&] { return run(argc, argv); });
 }

@@ -18,7 +18,6 @@
 
 #include <cstdio>
 
-#include "common/logging.h"
 #include "sim/simulator.h"
 #include "workloads/workloads.h"
 
@@ -27,7 +26,6 @@ using namespace spt;
 int
 main()
 {
-    setVerbose(false);
     printf("Constant-time kernels, Futuristic attack model\n");
     printf("(execution time normalized to UnsafeBaseline)\n\n");
     printf("%-18s %14s %14s %8s\n", "kernel", "SecureBaseline",

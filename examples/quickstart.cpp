@@ -14,7 +14,6 @@
 
 #include <cstdio>
 
-#include "common/logging.h"
 #include "core/untaint_algebra.h"
 #include "isa/assembler.h"
 #include "isa/functional_cpu.h"
@@ -110,7 +109,6 @@ timingDemo()
 int
 main()
 {
-    setVerbose(false);
     gateAlgebraDemo();
     functionalDemo();
     timingDemo();

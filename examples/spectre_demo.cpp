@@ -17,7 +17,6 @@
 
 #include <cstdio>
 
-#include "common/logging.h"
 #include "sim/simulator.h"
 #include "workloads/attack_programs.h"
 
@@ -77,7 +76,6 @@ mount(const char *title, const AttackProgram &ap)
 int
 main()
 {
-    setVerbose(false);
     mount("Spectre V1 (speculatively-accessed data)",
           makeSpectreV1());
     mount("Constant-time victim + BTB injection "

@@ -17,7 +17,6 @@
 
 #include <cstdio>
 
-#include "common/logging.h"
 #include "core/engine_factory.h"
 #include "core/spt_engine.h"
 #include "isa/assembler.h"
@@ -28,7 +27,6 @@ using namespace spt;
 int
 main()
 {
-    setVerbose(false);
     // s1 (r1) is made "secret" by loading it from memory that was
     // never leaked; s2 (r2) is a public constant.
     // A divide chain ahead of the snippet keeps I1/I3 in the ROB

@@ -125,7 +125,6 @@ runDifferentialSweep(uint64_t first_seed, unsigned count,
             runDifferential(program, analysis, config);
     });
     for (const DifferentialResult &res : sweep.per_program) {
-        ++sweep.programs;
         sweep.robust_checked += res.robust_checked;
         sweep.robust_denied += res.robust_denied;
         sweep.windowed_checked += res.windowed_checked;

@@ -47,14 +47,6 @@ struct DifferentialResult {
     uint64_t windowed_checked = 0;
     uint64_t windowed_denied = 0; ///< timing-gap metric, not a bug
     std::vector<std::string> log; ///< one line per robust denial
-
-    double windowedDenialRate() const
-    {
-        return windowed_checked == 0
-                   ? 0.0
-                   : static_cast<double>(windowed_denied) /
-                         static_cast<double>(windowed_checked);
-    }
 };
 
 /** Runs @p program to completion on the out-of-order core with an
@@ -69,19 +61,10 @@ DifferentialResult runDifferential(const Program &program,
  *  count or completion order. */
 struct DifferentialSweepResult {
     std::vector<DifferentialResult> per_program;
-    uint64_t programs = 0;
     uint64_t robust_checked = 0;
     uint64_t robust_denied = 0;
     uint64_t windowed_checked = 0;
     uint64_t windowed_denied = 0;
-
-    double windowedDenialRate() const
-    {
-        return windowed_checked == 0
-                   ? 0.0
-                   : static_cast<double>(windowed_denied) /
-                         static_cast<double>(windowed_checked);
-    }
 };
 
 /** Fuzzes `count` programs (seeds first_seed .. first_seed+count-1,

@@ -1,7 +1,5 @@
 #include "bp/simple_predictors.h"
 
-#include "common/logging.h"
-
 namespace spt {
 
 BimodalPredictor::BimodalPredictor(unsigned index_bits)
@@ -26,58 +24,6 @@ void
 BimodalPredictor::update(uint64_t pc, bool taken)
 {
     table_[index(pc)].train(taken);
-}
-
-unsigned
-BimodalPredictor::counterValue(uint64_t pc) const
-{
-    return table_[index(pc)].value();
-}
-
-GsharePredictor::GsharePredictor(unsigned index_bits,
-                                 unsigned history_bits)
-    : index_bits_(index_bits), history_bits_(history_bits),
-      table_(size_t{1} << index_bits, SatCounter(2, 1))
-{
-    SPT_ASSERT(history_bits_ <= 64, "gshare history too long");
-}
-
-size_t
-GsharePredictor::index(uint64_t pc, uint64_t history) const
-{
-    const uint64_t mask = (uint64_t{1} << index_bits_) - 1;
-    const uint64_t h = history &
-        ((history_bits_ >= 64 ? ~uint64_t{0}
-                              : (uint64_t{1} << history_bits_) - 1));
-    return (pc ^ h) & mask;
-}
-
-bool
-GsharePredictor::predict(uint64_t pc)
-{
-    const bool taken = table_[index(pc, history_)].taken();
-    history_ = (history_ << 1) | (taken ? 1 : 0);
-    return taken;
-}
-
-void
-GsharePredictor::update(uint64_t pc, bool taken)
-{
-    table_[index(pc, arch_history_)].train(taken);
-    arch_history_ = (arch_history_ << 1) | (taken ? 1 : 0);
-}
-
-BpCheckpoint
-GsharePredictor::checkpoint() const
-{
-    return {{history_}};
-}
-
-void
-GsharePredictor::restore(const BpCheckpoint &cp)
-{
-    SPT_ASSERT(cp.words.size() == 1, "bad gshare checkpoint");
-    history_ = cp.words[0];
 }
 
 } // namespace spt

@@ -178,15 +178,6 @@ JsonWriter::value(double v, int precision)
     return *this;
 }
 
-JsonWriter &
-JsonWriter::raw(const std::string &json)
-{
-    separate();
-    out_ += json;
-    need_comma_ = true;
-    return *this;
-}
-
 const std::string &
 JsonWriter::str() const
 {

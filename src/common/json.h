@@ -10,10 +10,6 @@
  * no timestamps, no locale-dependent formatting — which is what
  * lets the fig7 acceptance check compare `--jobs 1` and `--jobs 4`
  * artifacts with `cmp`.
- *
- * (Moved from sim/report.h so spt_common code — StatSet::dumpJson —
- * can emit JSON without depending on the sim layer; sim/report.h
- * remains as a forwarding include.)
  */
 
 #ifndef SPT_COMMON_JSON_H
@@ -46,12 +42,6 @@ class JsonWriter
     /** Doubles print as fixed-point with @p precision digits (JSON
      *  has no NaN/Inf; those are emitted as null). */
     JsonWriter &value(double v, int precision = 4);
-
-    /** Splices a pre-rendered JSON value verbatim in value position
-     *  (e.g. a nested document built by another writer). The caller
-     *  guarantees @p json is one valid JSON value; its internal
-     *  indentation is preserved as-is. */
-    JsonWriter &raw(const std::string &json);
 
     /** Shorthand for key(name).value(v). */
     template <typename T>

@@ -1,7 +1,5 @@
 #include "common/logging.h"
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <mutex>
 
@@ -10,61 +8,15 @@ namespace spt {
 namespace {
 
 // Concurrent Simulators (common/parallel.h sweeps) log from worker
-// threads: the verbose flag is atomic and every message is emitted
-// as one fwrite under a mutex so lines never interleave.
-std::atomic<bool> g_verbose{true};
+// threads: every message is emitted as one fwrite under a mutex so
+// lines never interleave.
 std::mutex g_stderr_mutex;
-
-// Level/timestamp settings resolve from the environment exactly
-// once (std::call_once) so the first log line from any thread sees
-// a consistent configuration; setLogLevel()/setLogTimestamps()
-// override afterwards.
-std::once_flag g_env_once;
-std::atomic<int> g_level{static_cast<int>(LogLevel::kInfo)};
-std::atomic<bool> g_timestamps{false};
-
-const std::chrono::steady_clock::time_point g_start =
-    std::chrono::steady_clock::now();
-
-void emitLine(const char *prefix, const std::string &msg);
-
-void
-resolveEnv()
-{
-    std::call_once(g_env_once, [] {
-        if (const char *lv = std::getenv("SPT_LOG_LEVEL")) {
-            try {
-                g_level.store(static_cast<int>(parseLogLevel(lv)),
-                              std::memory_order_relaxed);
-            } catch (const FatalError &) {
-                // A typo in the environment should not abort a long
-                // sweep: keep the default and say so. emitLine, not
-                // warn(): warn() re-enters resolveEnv's call_once.
-                emitLine(
-                    "warn: ",
-                    std::string("ignoring unrecognised SPT_LOG_LEVEL=") +
-                        lv + " (want debug|info|warn)");
-            }
-        }
-        if (const char *ts = std::getenv("SPT_LOG_TS")) {
-            g_timestamps.store(ts[0] != '\0' &&
-                                   std::string(ts) != "0",
-                               std::memory_order_relaxed);
-        }
-    });
-}
 
 void
 emitLine(const char *prefix, const std::string &msg)
 {
     std::string line;
-    line.reserve(msg.size() + 24);
-    if (g_timestamps.load(std::memory_order_relaxed)) {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "[%.6f] ",
-                      logMonotonicSeconds());
-        line += buf;
-    }
+    line.reserve(msg.size() + 8);
     line += prefix;
     line += msg;
     line += '\n';
@@ -86,96 +38,16 @@ formatLocation(const char *file, int line)
 
 } // namespace detail
 
-LogLevel
-parseLogLevel(const std::string &name)
-{
-    if (name == "debug")
-        return LogLevel::kDebug;
-    if (name == "info")
-        return LogLevel::kInfo;
-    if (name == "warn")
-        return LogLevel::kWarn;
-    SPT_FATAL("unknown log level '" << name
-                                    << "' (want debug|info|warn)");
-}
-
-LogLevel
-logLevel()
-{
-    resolveEnv();
-    return static_cast<LogLevel>(
-        g_level.load(std::memory_order_relaxed));
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    resolveEnv(); // pin env resolution so it can't overwrite this
-    g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-bool
-logTimestamps()
-{
-    resolveEnv();
-    return g_timestamps.load(std::memory_order_relaxed);
-}
-
-void
-setLogTimestamps(bool enabled)
-{
-    resolveEnv();
-    g_timestamps.store(enabled, std::memory_order_relaxed);
-}
-
-double
-logMonotonicSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - g_start)
-        .count();
-}
-
 void
 warn(const std::string &msg)
 {
-    resolveEnv();
     emitLine("warn: ", msg);
-}
-
-void
-inform(const std::string &msg)
-{
-    if (g_verbose.load(std::memory_order_relaxed) &&
-        logLevel() <= LogLevel::kInfo)
-        emitLine("info: ", msg);
-}
-
-void
-debug(const std::string &msg)
-{
-    if (g_verbose.load(std::memory_order_relaxed) &&
-        logLevel() == LogLevel::kDebug)
-        emitLine("debug: ", msg);
 }
 
 void
 report(const std::string &msg)
 {
-    resolveEnv();
     emitLine("", msg);
-}
-
-void
-setVerbose(bool verbose)
-{
-    g_verbose.store(verbose, std::memory_order_relaxed);
-}
-
-bool
-verbose()
-{
-    return g_verbose.load(std::memory_order_relaxed);
 }
 
 } // namespace spt

@@ -7,15 +7,6 @@ MshrFile::MshrFile(unsigned num_entries)
 {
 }
 
-bool
-MshrFile::lineInFlight(uint64_t line_addr) const
-{
-    for (const Entry &e : entries_)
-        if (e.line_addr == line_addr)
-            return true;
-    return false;
-}
-
 uint64_t
 MshrFile::remainingLatency(uint64_t line_addr, uint64_t now) const
 {

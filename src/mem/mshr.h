@@ -43,7 +43,6 @@ class MshrFile
         return static_cast<unsigned>(entries_.size());
     }
     unsigned capacity() const { return capacity_; }
-    bool lineInFlight(uint64_t line_addr) const;
 
     /** Cycles until the in-flight fill of @p line_addr arrives
      *  (0 if not in flight or already arrived). */

@@ -126,7 +126,6 @@ runChaosCampaign(const ChaosConfig &cfg)
     ExpRunner runner(cfg.jobs);
     RunnerPolicy policy;
     policy.keep_going = true;
-    policy.capture_evidence = true;
     const std::vector<RunOutcome> outcomes =
         runner.run(grid, policy);
 

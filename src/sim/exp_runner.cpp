@@ -7,7 +7,6 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "common/json.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "uarch/invariant_checker.h"
@@ -60,7 +59,6 @@ configFor(const RunJob &job)
     cfg.invariants = job.invariants;
     if (job.watchdog_cycles != 0)
         cfg.core.watchdog_cycles = job.watchdog_cycles;
-    cfg.wall_timeout_seconds = job.wall_timeout_seconds;
     cfg.core.fast_forward = job.fast_forward;
     return cfg;
 }
@@ -79,31 +77,12 @@ classify(const Simulator &sim, const SimResult &r)
     switch (r.termination) {
       case Termination::kLivelock:
         return RunStatus::kLivelock;
-      case Termination::kWallTimeout:
       case Termination::kMaxCycles:
         return RunStatus::kTimeout;
       case Termination::kHalted:
         break;
     }
     return RunStatus::kOk;
-}
-
-/** Last @p lines lines of @p text (failure evidence wants the tail:
- *  the trace around the violating instruction, not the warm-up). */
-std::string
-tail(const std::string &text, std::size_t lines)
-{
-    std::size_t pos = text.size();
-    while (lines > 0 && pos > 0) {
-        const std::size_t nl = text.rfind('\n', pos - 1);
-        if (nl == std::string::npos) {
-            pos = 0;
-            break;
-        }
-        pos = nl;
-        --lines;
-    }
-    return pos == 0 ? text : text.substr(pos + 1);
 }
 
 /** Simulates @p job. An exception escaping the simulation becomes a
@@ -148,32 +127,6 @@ simulate(const RunJob &job, std::exception_ptr *error)
     return out;
 }
 
-/** Re-run a failed job once with trace + invariants attached to
- *  gather evidence; never throws. */
-void
-captureEvidence(const RunJob &job, RunOutcome &out)
-{
-    try {
-        SimConfig cfg = configFor(job);
-        cfg.invariants = true;
-        Simulator sim(*job.program, cfg);
-        std::ostringstream text, pipeview;
-        sim.enableTrace(&text, &pipeview);
-        const SimResult r = sim.run();
-        const RunStatus rerun = classify(sim, r);
-        out.reproduced = rerun == out.status;
-        out.evidence_trace = tail(text.str(), 64);
-        if (out.diagnostics_json.empty() ||
-            out.diagnostics_json == "[]")
-            out.diagnostics_json = sim.diagnosticsJson();
-    } catch (const std::exception &e) {
-        // A crash at the same point *is* the reproduction.
-        out.reproduced = out.status == RunStatus::kCrash;
-        if (out.error.empty())
-            out.error = e.what();
-    }
-}
-
 /** Resolves the RunnerPolicy/environment cache configuration into
  *  an open cache, or nullptr when disabled. */
 std::unique_ptr<ResultCache>
@@ -208,11 +161,10 @@ ExpRunner::run(const std::vector<RunJob> &grid,
             SPT_FATAL("RunJob " << i << " has a null program");
 
     // Deduplicate up front on the content key: unique jobs run on
-    // the pool, duplicate slots are filled by copy afterwards. A
-    // slot without a key is always its own unique job. Keys are
-    // computed here on the main thread: the hash memo canonicalKey
-    // fills is shared mutable state the pool workers must not touch
-    // (common/parallel.h contract).
+    // the pool, duplicate slots are filled by copy afterwards. Keys
+    // are computed here on the main thread: the hash memo
+    // canonicalKey fills is shared mutable state the pool workers
+    // must not touch (common/parallel.h contract).
     KeyHashMemo memo;
     std::vector<std::string> keys(grid.size());
     std::vector<std::size_t> unique;       // grid indices to simulate
@@ -221,9 +173,7 @@ ExpRunner::run(const std::vector<RunJob> &grid,
     unique.reserve(grid.size());
     for (std::size_t i = 0; i < grid.size(); ++i) {
         keys[i] = ResultCache::canonicalKey(grid[i], &memo);
-        source[i] = keys[i].empty()
-                        ? i
-                        : first_by_key.emplace(keys[i], i).first->second;
+        source[i] = first_by_key.emplace(keys[i], i).first->second;
         if (source[i] == i)
             unique.push_back(i);
     }
@@ -241,9 +191,8 @@ ExpRunner::run(const std::vector<RunJob> &grid,
         const std::size_t slot = unique[u];
         const RunJob &job = grid[slot];
         const std::string &key = keys[slot];
-        const bool cacheable = cache && !key.empty();
         RunOutcome cached;
-        const bool hit = cacheable && cache->lookup(key, &cached);
+        const bool hit = cache && cache->lookup(key, &cached);
         if (hit && cache->mode() != CacheMode::kVerify) {
             outcomes[slot] = std::move(cached);
             return;
@@ -255,15 +204,11 @@ ExpRunner::run(const std::vector<RunJob> &grid,
             if (ResultCache::encodeOutcomeDeterministic(out) !=
                 ResultCache::encodeOutcomeDeterministic(cached))
                 cache->noteVerifyMismatch(key);
-        } else if (cacheable) {
+        } else if (cache) {
             // Stored the moment it finishes: a sweep killed after
             // this point does not re-simulate this slot.
             cache->store(key, out);
         }
-        if (policy.capture_evidence &&
-            (out.status == RunStatus::kCrash ||
-             out.status == RunStatus::kViolation))
-            captureEvidence(job, out);
         outcomes[slot] = std::move(out);
     });
     const auto t1 = std::chrono::steady_clock::now();
@@ -306,65 +251,6 @@ ExpRunner::run(const std::vector<RunJob> &grid,
             if (errors[source[i]])
                 std::rethrow_exception(errors[source[i]]);
     return outcomes;
-}
-
-void
-sweepReportJson(JsonWriter &jw, const std::vector<RunJob> &grid,
-                const std::vector<RunOutcome> &outcomes,
-                const SweepStats &stats)
-{
-    SPT_ASSERT(grid.size() == outcomes.size(),
-               "sweep report: grid/outcome size mismatch");
-    jw.beginObject();
-    jw.field("jobs", static_cast<uint64_t>(grid.size()));
-    jw.field("unique_jobs", stats.unique_jobs);
-    jw.field("memo_hits", stats.memo_hits);
-    jw.field("failed_jobs", stats.failed_jobs);
-    jw.field("first_failure", stats.first_failure);
-    // host_seconds_saved is host-timing and deliberately excluded:
-    // this report must stay byte-identical across hosts and worker
-    // counts (the determinism gates cmp it).
-    jw.key("cache");
-    jw.beginObject();
-    jw.field("mode", stats.cache_mode);
-    jw.field("hits", stats.cache.hits);
-    jw.field("misses", stats.cache.misses);
-    jw.field("verify_mismatches", stats.cache.verify_mismatches);
-    jw.field("bytes_written", stats.cache.bytes_written);
-    jw.endObject();
-    jw.key("cells");
-    jw.beginArray();
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-        const RunOutcome &out = outcomes[i];
-        jw.beginObject();
-        jw.field("index", static_cast<uint64_t>(i));
-        jw.field("job", out.job_desc);
-        jw.field("status", runStatusName(out.status));
-        jw.field("termination",
-                 terminationName(out.result.termination));
-        jw.field("cycles", out.result.cycles);
-        jw.field("instructions", out.result.instructions);
-        if (!out.error.empty())
-            jw.field("error", out.error);
-        if (!out.fault_counters.empty()) {
-            jw.key("faults");
-            jw.beginObject();
-            for (const auto &[name, value] : out.fault_counters)
-                jw.field(name, value);
-            jw.endObject();
-        }
-        if (!out.diagnostics_json.empty() &&
-            out.diagnostics_json != "[]") {
-            jw.key("diagnostics");
-            jw.raw(out.diagnostics_json);
-        }
-        if (out.status == RunStatus::kCrash ||
-            out.status == RunStatus::kViolation)
-            jw.field("reproduced", out.reproduced);
-        jw.endObject();
-    }
-    jw.endArray();
-    jw.endObject();
 }
 
 } // namespace spt

@@ -25,9 +25,6 @@
  *    thread-count-dependent field; everything else — cycles,
  *    instructions, every engine counter and histogram, fault draws,
  *    diagnostics — is a pure function of the job descriptor.
- *    (Exception: a job with `wall_timeout_seconds` set may cut off
- *    at a host-dependent cycle; such jobs trade determinism for
- *    bounded latency and say so in their status.)
  *
  * Duplicate jobs within a sweep are memoized: jobs with equal
  * content keys (ResultCache::canonicalKey — program content, every
@@ -35,8 +32,7 @@
  * robustness knobs, observability flags; not the label) are
  * simulated once and the outcome is copied into every duplicate
  * slot. This is what spares e.g. a normalized-overhead grid from
- * re-deriving its UnsafeBaseline column per normalization. A job
- * with no key (a wall-clock cap) is never merged with another slot.
+ * re-deriving its UnsafeBaseline column per normalization.
  *
  * Cross-process reuse: with a cache directory configured
  * (RunnerPolicy::cache_dir or SPT_CACHE_DIR), each unique job is
@@ -59,10 +55,7 @@
  * each failing slot is classified (crash / timeout / livelock /
  * invariant violation) into `RunOutcome::status` with the exception
  * text and a one-line job descriptor preserved, and healthy slots
- * are unaffected. `RunnerPolicy::capture_evidence` re-runs each
- * crashed or violating job once with tracing and the invariant
- * checker attached, attaching the trace tail and diagnostics as
- * evidence and recording whether the failure reproduced.
+ * are unaffected.
  */
 
 #ifndef SPT_SIM_EXP_RUNNER_H
@@ -81,8 +74,6 @@
 #include "sim/simulator.h"
 
 namespace spt {
-
-class JsonWriter;
 
 /** One design point of a sweep grid. The program is non-owning and
  *  must outlive the sweep (all drivers point into the static
@@ -112,9 +103,6 @@ struct RunJob {
     /** Retire-progress watchdog override; 0 keeps the CoreParams
      *  default (uarch/core.h). */
     uint64_t watchdog_cycles = 0;
-    /** Host wall-clock cap per job; 0 disables. Non-deterministic
-     *  cutoff by design — see the file comment. */
-    double wall_timeout_seconds = 0.0;
     /** Fast-forward quiescent periods (CoreParams::fast_forward).
      *  Result- and stat-identical to ticking every cycle (pinned by
      *  the fast-forward equivalence tests), but still part of the
@@ -129,7 +117,7 @@ struct RunJob {
 /** How a job concluded, strongest classification first. */
 enum class RunStatus : uint8_t {
     kOk,        ///< halted normally
-    kTimeout,   ///< cycle budget or wall-clock cap cut it off
+    kTimeout,   ///< the cycle budget cut it off
     kLivelock,  ///< retire-progress watchdog tripped
     kViolation, ///< the invariant checker reported a violation
     kCrash,     ///< an exception escaped the simulation
@@ -175,13 +163,6 @@ struct RunOutcome {
      *  metamorphic fault-equivalence check (faults perturb timing,
      *  never values). All zero for crashed jobs. */
     std::array<uint64_t, kNumArchRegs> arch_regs{};
-    /** Evidence from the capture_evidence re-run: tail of the taint
-     *  lifecycle trace around the failure. */
-    std::string evidence_trace;
-    /** Did the capture_evidence re-run reach the same status? A
-     *  `true` means the failure is deterministic and the evidence
-     *  shows the real thing. */
-    bool reproduced = false;
 
     uint64_t
     counter(const std::string &name) const
@@ -200,10 +181,6 @@ struct RunnerPolicy {
     /** Complete the sweep even when jobs fail; failures are
      *  classified into RunOutcome::status instead of thrown. */
     bool keep_going = false;
-    /** Re-run each crashed/violating job once with trace +
-     *  invariants to attach evidence (implies extra host time only
-     *  for failing jobs). */
-    bool capture_evidence = false;
     /** Result-cache directory (sim/result_cache.h). Empty resolves
      *  the SPT_CACHE_DIR environment variable (with SPT_CACHE_MODE,
      *  default read_write), which is how every bench and tool gains
@@ -261,16 +238,6 @@ class ExpRunner
     unsigned workers_;
     SweepStats last_;
 };
-
-/** Deterministic JSON report of a finished sweep: per-slot status,
- *  counters, diagnostics and fault telemetry plus the sweep summary.
- *  Host-dependent fields (host_seconds, wall_seconds, workers) are
- *  excluded so the report is byte-identical at any --jobs; this is
- *  the partial-results artifact a keep_going campaign leaves behind
- *  when some cells failed. */
-void sweepReportJson(JsonWriter &jw, const std::vector<RunJob> &grid,
-                     const std::vector<RunOutcome> &outcomes,
-                     const SweepStats &stats);
 
 } // namespace spt
 

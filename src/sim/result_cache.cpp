@@ -204,21 +204,10 @@ ResultCache::ResultCache(std::string dir, CacheMode mode)
                                                    << ec.message());
 }
 
-bool
-ResultCache::cacheable(const RunJob &job)
-{
-    // A wall-clock cap makes the outcome schedule-dependent by
-    // documented contract (exp_runner.h); everything else in the
-    // descriptor is a pure function of its content.
-    return job.program != nullptr && job.wall_timeout_seconds == 0.0;
-}
-
 std::string
 ResultCache::canonicalKey(const RunJob &job, KeyHashMemo *memo)
 {
-    if (!cacheable(job))
-        return "";
-
+    SPT_ASSERT(job.program != nullptr, "canonicalKey of a null program");
     uint64_t prog = 0;
     if (memo) {
         const auto [it, inserted] =
@@ -231,8 +220,7 @@ ResultCache::canonicalKey(const RunJob &job, KeyHashMemo *memo)
     }
 
     // Every descriptor field except `label` (presentation, not
-    // identity) and `wall_timeout_seconds` (capped jobs get no key
-    // at all), with each by-reference component replaced by its
+    // identity), with each by-reference component replaced by its
     // content hash. The observability flags participate: a traced
     // run carries artifacts a plain run lacks. fast_forward
     // participates although it is result-identical by contract: it
@@ -310,8 +298,12 @@ ResultCache::encodeOutcome(const RunOutcome &out)
     }
     for (const uint64_t r : out.arch_regs)
         putU64(b, r);
-    putStr(b, out.evidence_trace);
-    putU8(b, out.reproduced ? 1 : 0);
+    // The slots of the removed failure-evidence fields (a trace tail
+    // and a reproduced flag). Only clean outcomes are stored, and
+    // those never carried evidence, so every record on disk holds
+    // exactly these constants.
+    putStr(b, "");
+    putU8(b, 0);
     return b;
 }
 
@@ -325,7 +317,7 @@ ResultCache::decodeOutcome(const std::string &bytes)
     out.result.halted = rd.u8() != 0;
     out.result.ipc = rd.d();
     const uint8_t term = rd.u8();
-    if (term > static_cast<uint8_t>(Termination::kWallTimeout))
+    if (term > static_cast<uint8_t>(Termination::kLivelock))
         SPT_FATAL("result record corrupt: termination " << +term);
     out.result.termination = static_cast<Termination>(term);
     out.host_seconds = rd.d();
@@ -376,8 +368,8 @@ ResultCache::decodeOutcome(const std::string &bytes)
     }
     for (uint64_t &r : out.arch_regs)
         r = rd.u64();
-    out.evidence_trace = rd.str();
-    out.reproduced = rd.u8() != 0;
+    if (!rd.str().empty() || rd.u8() != 0)
+        SPT_FATAL("result record corrupt: evidence slots set");
     if (!rd.atEnd())
         SPT_FATAL("result record corrupt: trailing bytes");
     return out;

@@ -29,9 +29,7 @@
  * Only `RunStatus::kOk` outcomes are stored: failure slots
  * re-simulate so default-policy sweeps still rethrow the original
  * exception, and a transiently broken build can't freeze its
- * failures into the cache. Jobs with a wall-clock timeout are not
- * cacheable at all (their outcome is schedule-dependent by
- * contract).
+ * failures into the cache.
  *
  * Writes are atomic: each store writes a temp file it created
  * exclusively (`<entry>.tmpXXXXXX`, mkstemp) and renames it over
@@ -106,18 +104,16 @@ class ResultCache
     CacheMode mode() const { return mode_; }
     const std::string &dir() const { return dir_; }
 
-    /** False for jobs whose outcome is not a pure function of the
-     *  descriptor (nonzero wall_timeout_seconds). */
-    static bool cacheable(const RunJob &job);
-
-    /** Stable content-addressed serialization of the descriptor;
-     *  "" when the job is uncacheable. @p memo, when given, carries
-     *  program fingerprints across the calls of one grid. */
+    /** Stable content-addressed serialization of the descriptor.
+     *  @p memo, when given, carries program fingerprints across the
+     *  calls of one grid. */
     static std::string canonicalKey(const RunJob &job,
                                     KeyHashMemo *memo = nullptr);
 
     /** Deterministic encoding of an outcome — the record payload.
-     *  job_desc/memoized are per-slot runner state and excluded. */
+     *  job_desc/memoized are per-slot runner state and excluded. The
+     *  layout is fixed: records written by earlier builds decode
+     *  under it, so a dropped field keeps its slot as a constant. */
     static std::string encodeOutcome(const RunOutcome &out);
     /** Inverse of encodeOutcome; SPT_FATAL on malformed bytes. */
     static RunOutcome decodeOutcome(const std::string &bytes);

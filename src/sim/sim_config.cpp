@@ -45,16 +45,4 @@ table2Configs()
     };
 }
 
-std::vector<NamedConfig>
-headlineConfigs()
-{
-    return {
-        {"UnsafeBaseline", scheme(ProtectionScheme::kUnsafeBaseline)},
-        {"SecureBaseline", scheme(ProtectionScheme::kSecureBaseline)},
-        {"SPT{Bwd,ShadowL1}",
-         sptConfig(UntaintMethod::kBackward, ShadowKind::kShadowL1)},
-        {"STT", scheme(ProtectionScheme::kStt)},
-    };
-}
-
 } // namespace spt

@@ -39,9 +39,6 @@ struct SimConfig {
      *  and untaint counters are unchanged; results gain violation
      *  verdicts and diagnostics. */
     bool invariants = false;
-    /** Cooperative host wall-clock cap on run(); 0 disables. The
-     *  outcome of a timed-out run is schedule-dependent. */
-    double wall_timeout_seconds = 0.0;
 };
 
 /** A named Table-2 design variant. */
@@ -52,10 +49,6 @@ struct NamedConfig {
 
 /** The seven design variants of Table 2, in the paper's order. */
 std::vector<NamedConfig> table2Configs();
-
-/** The subset used for headline numbers: UnsafeBaseline,
- *  SecureBaseline, full SPT, STT. */
-std::vector<NamedConfig> headlineConfigs();
 
 } // namespace spt
 

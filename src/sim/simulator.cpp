@@ -13,7 +13,6 @@ terminationName(Termination t)
       case Termination::kHalted:      return "halted";
       case Termination::kMaxCycles:   return "max-cycles";
       case Termination::kLivelock:    return "livelock";
-      case Termination::kWallTimeout: return "wall-timeout";
     }
     return "?";
 }
@@ -91,8 +90,6 @@ Simulator::run()
         observers_.add(checker_.get());
     if (!observers_.empty())
         core_->setObserver(&observers_);
-    if (config_.wall_timeout_seconds > 0.0)
-        core_->setWallTimeout(config_.wall_timeout_seconds);
     const Core::RunResult r = core_->run(config_.max_cycles);
     if (tracer_)
         tracer_->finish(core_->cycle());
@@ -113,8 +110,6 @@ Simulator::run()
         result.termination = Termination::kHalted;
     else if (r.livelocked)
         result.termination = Termination::kLivelock;
-    else if (r.wall_timeout)
-        result.termination = Termination::kWallTimeout;
     else
         result.termination = Termination::kMaxCycles;
     return result;

@@ -38,7 +38,6 @@ enum class Termination : uint8_t {
     kHalted,      ///< the program's HALT committed
     kMaxCycles,   ///< the cycle budget elapsed
     kLivelock,    ///< retire-progress watchdog tripped
-    kWallTimeout, ///< host wall-clock cap tripped
 };
 
 const char *terminationName(Termination t);

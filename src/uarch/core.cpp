@@ -1,7 +1,6 @@
 #include "uarch/core.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/logging.h"
 
@@ -124,8 +123,6 @@ Core::run(uint64_t max_cycles)
     uint64_t last_retired = retired_;
     uint64_t last_progress_cycle = cycle_;
     bool livelocked = false;
-    bool wall_timeout = false;
-    const auto wall_start = std::chrono::steady_clock::now();
     // Fast-forward needs stats-pure gate prediction and an untouched
     // event stream: observers see per-cycle callbacks and fault
     // injectors consume per-cycle RNG draws, so either disables it.
@@ -147,20 +144,8 @@ Core::run(uint64_t max_cycles)
             stats_.inc("watchdog.livelocks");
             break;
         }
-        uint64_t skipped = 0;
         if (may_fast_forward && !halted_)
-            skipped =
-                tryFastForward(max_cycles, last_progress_cycle);
-        if (wall_timeout_seconds_ > 0.0 &&
-            ((cycle_ & 0x1fff) == 0 || skipped >= 0x2000)) {
-            const std::chrono::duration<double> elapsed =
-                std::chrono::steady_clock::now() - wall_start;
-            if (elapsed.count() > wall_timeout_seconds_) {
-                wall_timeout = true;
-                stats_.inc("watchdog.wall_timeouts");
-                break;
-            }
-        }
+            tryFastForward(max_cycles, last_progress_cycle);
     }
     stats_.set("cycles", cycle_);
     stats_.set("instructions", retired_);
@@ -173,7 +158,7 @@ Core::run(uint64_t max_cycles)
     es.set("delay.total_cycles", delay_mem_cycles_ +
                                      delay_branch_cycles_ +
                                      delay_memorder_cycles_);
-    return {cycle_, retired_, halted_, livelocked, wall_timeout};
+    return {cycle_, retired_, halted_, livelocked};
 }
 
 // --------------------------------------------------------------------
@@ -289,7 +274,7 @@ Core::accrueSkippedCycles(uint64_t k)
     stats_.inc("ff.skipped_cycles", k);
 }
 
-uint64_t
+void
 Core::tryFastForward(uint64_t max_cycles,
                      uint64_t last_progress_cycle)
 {
@@ -308,14 +293,13 @@ Core::tryFastForward(uint64_t max_cycles,
         wake = std::min(wake, last_progress_cycle +
                                   params_.watchdog_cycles + 1);
     if (wake <= cycle_ + 1)
-        return 0; // nothing to skip
+        return; // nothing to skip
     if (!quiescentCycle())
-        return 0;
+        return;
     const uint64_t skipped = wake - 1 - cycle_;
     accrueSkippedCycles(skipped);
     cycle_ += skipped;
     stats_.inc("ff.windows");
-    return skipped;
 }
 
 // --------------------------------------------------------------------

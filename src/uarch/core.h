@@ -86,8 +86,6 @@ class Core
         bool halted = false;
         /** Retire watchdog tripped (see CoreParams::watchdog_cycles). */
         bool livelocked = false;
-        /** Cooperative wall-clock limit tripped (see setWallTimeout). */
-        bool wall_timeout = false;
     };
 
     using CommitHook = std::function<void(const DynInst &)>;
@@ -147,15 +145,6 @@ class Core
     /** The engine's broadcast-starvation site reads this. */
     FaultHooks *faultHooks() const { return faults_; }
 
-    /** Bounds run() by host wall-clock time (checked every 8192
-     *  cycles); 0 disables. The resulting RunResult is
-     *  schedule-dependent — sweeps exclude wall-timeout outcomes
-     *  from determinism comparisons. */
-    void setWallTimeout(double seconds)
-    {
-        wall_timeout_seconds_ = seconds;
-    }
-
     /** Installs the observability sink (nullptr detaches); also
      *  forwarded to the engine so it can emit taint events. Must be
      *  set before the first tick — observers never perturb simulated
@@ -192,7 +181,6 @@ class Core
 
     PipelineObserver *observer_ = nullptr;
     FaultHooks *faults_ = nullptr;
-    double wall_timeout_seconds_ = 0.0;
     /** Transmitter-delay cycles per gate, accumulated as plain
      *  integers on the hot path and published to the engine's StatSet
      *  (delay.*) at the end of run(). */
@@ -238,11 +226,10 @@ class Core
     /** Per-cycle stat charges a blocked (quiescent) cycle makes,
      *  applied in bulk for @p k skipped cycles. */
     void accrueSkippedCycles(uint64_t k);
-    /** Skips dead cycles up to the next timed event; returns the
-     *  number skipped (0 when the machine is live or the next event
-     *  is imminent). */
-    uint64_t tryFastForward(uint64_t max_cycles,
-                            uint64_t last_progress_cycle);
+    /** Skips dead cycles up to the next timed event (none when the
+     *  machine is live or the next event is imminent). */
+    void tryFastForward(uint64_t max_cycles,
+                        uint64_t last_progress_cycle);
     /** Stat charged if renaming @p d would stall on a structural
      *  hazard right now, or nullptr if it would proceed. */
     const char *renameHazardStat(const DynInst &d) const;

@@ -109,25 +109,6 @@ DiagnosticReport::toJson(JsonWriter &jw) const
     jw.endObject();
 }
 
-std::string
-DiagnosticReport::toText() const
-{
-    std::ostringstream os;
-    os << "invariant violation: " << kind << " at cycle " << cycle
-       << "\n  " << message << "\n";
-    if (!rob.empty()) {
-        os << "  rob:\n";
-        for (const std::string &line : rob)
-            os << "    " << line << "\n";
-    }
-    if (!events.empty()) {
-        os << "  recent events:\n";
-        for (const std::string &line : events)
-            os << "    " << line << "\n";
-    }
-    return os.str();
-}
-
 // --------------------------------------------------------------------
 // InvariantChecker
 // --------------------------------------------------------------------

@@ -57,7 +57,6 @@ struct DiagnosticReport {
     std::map<std::string, uint64_t> engine_counters;
 
     void toJson(JsonWriter &jw) const;
-    std::string toText() const;
 };
 
 class InvariantChecker : public PipelineObserver

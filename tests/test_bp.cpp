@@ -1,7 +1,7 @@
 /**
  * @file
- * Branch-prediction tests: saturating counters, bimodal, gshare,
- * TAGE pattern learning, loop predictor trip counts, BTB, RAS, and
+ * Branch-prediction tests: saturating counters, bimodal, TAGE
+ * pattern learning, loop predictor trip counts, BTB, RAS, and
  * the combined BPU's checkpoint/restore/repair protocol.
  */
 
@@ -39,48 +39,6 @@ TEST(Bimodal, LearnsBias)
     for (int i = 0; i < 8; ++i)
         bp.update(pc, false);
     EXPECT_FALSE(bp.predict(pc));
-}
-
-TEST(Gshare, LearnsHistoryCorrelatedPattern)
-{
-    GsharePredictor gp(12, 8);
-    const uint64_t pc = 0x80;
-    // Alternating pattern: bimodal can't learn it, history can.
-    // Core-style recovery: restore + replay actual outcome on a
-    // misprediction so speculative history tracks reality.
-    int correct = 0;
-    bool taken = false;
-    for (int i = 0; i < 400; ++i) {
-        taken = !taken;
-        const auto cp = gp.checkpoint();
-        const bool pred = gp.predict(pc);
-        if (pred != taken) {
-            gp.restore(cp);
-            gp.restore({{(cp.words[0] << 1) |
-                         (taken ? 1u : 0u)}}); // repair
-        }
-        if (i >= 200)
-            correct += pred == taken;
-        gp.update(pc, taken);
-    }
-    EXPECT_GT(correct, 180); // > 90% in the second half
-}
-
-TEST(Gshare, CheckpointRestoresHistory)
-{
-    GsharePredictor gp(12, 8);
-    const uint64_t pc = 5;
-    // Train the branch toward taken so predictions push 1-bits.
-    for (int i = 0; i < 4; ++i)
-        gp.update(pc, true);
-    gp.predict(pc);
-    const auto cp = gp.checkpoint();
-    const uint64_t h = gp.history();
-    gp.predict(pc);
-    gp.predict(pc);
-    EXPECT_NE(gp.history(), h);
-    gp.restore(cp);
-    EXPECT_EQ(gp.history(), h);
 }
 
 TEST(Tage, LearnsLongPattern)

@@ -470,31 +470,5 @@ TEST(Logging, FatalThrows)
     EXPECT_NO_THROW(SPT_ASSERT(1 == 1, "fine"));
 }
 
-TEST(Logging, LevelsParseAndRoundTrip)
-{
-    EXPECT_EQ(parseLogLevel("debug"), LogLevel::kDebug);
-    EXPECT_EQ(parseLogLevel("info"), LogLevel::kInfo);
-    EXPECT_EQ(parseLogLevel("warn"), LogLevel::kWarn);
-    EXPECT_THROW(parseLogLevel("verbose"), FatalError);
-
-    const LogLevel before = logLevel();
-    setLogLevel(LogLevel::kWarn);
-    EXPECT_EQ(logLevel(), LogLevel::kWarn);
-    setLogLevel(before);
-
-    const bool ts = logTimestamps();
-    setLogTimestamps(!ts);
-    EXPECT_EQ(logTimestamps(), !ts);
-    setLogTimestamps(ts);
-}
-
-TEST(Logging, MonotonicSecondsAdvances)
-{
-    const double a = logMonotonicSeconds();
-    const double b = logMonotonicSeconds();
-    EXPECT_GE(a, 0.0);
-    EXPECT_GE(b, a);
-}
-
 } // namespace
 } // namespace spt

@@ -16,9 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fnv.h"
+#include "common/json.h"
 #include "common/parallel.h"
 #include "sim/exp_runner.h"
-#include "sim/report.h"
 #include "workloads/golden_suite.h"
 #include "workloads/workloads.h"
 
@@ -130,19 +131,12 @@ TEST(ExpRunner, MemoizesDuplicateJobs)
     RunJob twin_b = base;
     twin_b.program = &hashtab_copy;
 
-    // A wall-clock cap makes the outcome schedule-dependent, so such
-    // a job has no key and is never merged, not even with itself.
-    RunJob capped = base;
-    capped.wall_timeout_seconds = 600.0;
-
-    // 9 slots: 2 design points over 5 slots, a program twin pair, and
-    // two capped duplicates.
-    const std::vector<RunJob> grid = {base,   other,  base,
-                                      base,   other,  twin_a,
-                                      twin_b, capped, capped};
+    // 7 slots: 2 design points over 5 slots and a program twin pair.
+    const std::vector<RunJob> grid = {base,  other,  base,  base,
+                                      other, twin_a, twin_b};
     ExpRunner runner(2);
     const std::vector<RunOutcome> out = runner.run(grid);
-    EXPECT_EQ(runner.lastSweep().unique_jobs, 5u);
+    EXPECT_EQ(runner.lastSweep().unique_jobs, 3u);
     EXPECT_EQ(runner.lastSweep().memo_hits, 4u);
     expectSameOutcome(out[0], out[2], 2);
     expectSameOutcome(out[0], out[3], 3);
@@ -154,13 +148,6 @@ TEST(ExpRunner, MemoizesDuplicateJobs)
     EXPECT_TRUE(out[6].memoized);
     EXPECT_EQ(out[6].host_seconds, 0.0);
     expectSameOutcome(out[5], out[6], 6);
-
-    for (const size_t i : {size_t{7}, size_t{8}}) {
-        EXPECT_FALSE(out[i].memoized) << "slot " << i;
-        EXPECT_GT(out[i].host_seconds, 0.0) << "slot " << i;
-        EXPECT_EQ(out[i].status, RunStatus::kOk) << "slot " << i;
-    }
-    expectSameOutcome(out[7], out[8], 8);
 }
 
 TEST(ExpRunner, MemoHitsCarryNoHostTime)
@@ -228,7 +215,6 @@ TEST(ExpRunner, JobKeyCoversEveryDescriptorField)
     vary([](RunJob &j) { j.invariants = true; });
     vary([](RunJob &j) { j.watchdog_cycles = 4096; });
     vary([](RunJob &j) { j.fast_forward = true; });
-    vary([](RunJob &j) { j.wall_timeout_seconds = 600.0; });
     const size_t variants = grid.size();
     vary([](RunJob &j) { j.label = "a pretty name"; });
 
@@ -536,12 +522,26 @@ TEST(ResultCache, CanonicalKeyIsContentAddressed)
               "|mut=0|km=0000000000000000|am=1|seed=0|mc=500000000"
               "|tr=0|pf=0|iv=0|inv=0|wd=0|ff=0|ca=0|fs=0|f0=0|f1=0"
               "|f2=0|f3=0|f4=0|f5=0|ck=0");
+}
 
-    // A wall-clock-capped job (schedule-dependent outcome) is the
-    // one uncacheable descriptor: it produces no key.
-    RunJob capped = ja;
-    capped.wall_timeout_seconds = 5.0;
-    EXPECT_EQ(ResultCache::canonicalKey(capped), "");
+TEST(ResultCache, OutcomeRecordBytesArePinned)
+{
+    // The record payload of the same golden case and config as the
+    // pinned key above. Records already on disk, written by other
+    // builds, decode under this layout: a field dropped without
+    // writing the constant it held, or a field reordered, must fail
+    // here instead of turning every stored record into a miss.
+    const GoldenCase &golden = goldenSuite().at(0);
+    RunJob job;
+    job.program = &golden.program;
+    job.engine.scheme = ProtectionScheme::kSpt;
+    job.engine.spt.method = UntaintMethod::kBackward;
+    job.engine.spt.shadow = ShadowKind::kShadowL1;
+    job.attack_model = golden.model;
+    const std::string bytes = ResultCache::encodeOutcomeDeterministic(
+        ExpRunner(1).run({job}).at(0));
+    EXPECT_EQ(bytes.size(), 888u);
+    EXPECT_EQ(fnv1a(bytes), 0xfd1ad99fb6507091ull);
 }
 
 TEST(ResultCache, CanonicalKeyCoversEveryDescriptorField)

@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/json.h"
 #include "common/logging.h"
 #include "sim/chaos.h"
 #include "sim/exp_runner.h"
@@ -137,12 +136,6 @@ TEST(FaultInjection, JobKeyCoversRobustnessFields)
     j.engine.spt.mutation = SptConfig::Mutation::kLeakyMemGate;
     expect_fresh(j, "mutation");
 
-    // A wall-clock cap makes the outcome schedule-dependent: the job
-    // gets no key, so the runner never merges it with another slot.
-    j = job;
-    j.wall_timeout_seconds = 1.5;
-    EXPECT_EQ(ResultCache::canonicalKey(j), "");
-
     // The label is presentation, not a design point: equal keys.
     j = job;
     j.label = "pretty name";
@@ -211,19 +204,15 @@ TEST(InvariantChecker, DetectsSeededLeakyMemGate)
     ExpRunner runner(1);
     RunnerPolicy policy;
     policy.keep_going = true;
-    policy.capture_evidence = true;
     const std::vector<RunOutcome> out = runner.run({job}, policy);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].status, RunStatus::kViolation);
     EXPECT_NE(out[0].diagnostics_json.find("tainted-transmitter"),
               std::string::npos)
         << out[0].diagnostics_json;
-    // The leaky gate actually opened (the bug manifested, the
-    // checker did not fire vacuously) ...
+    // The leaky gate actually opened: the bug manifested, the
+    // checker did not fire vacuously.
     EXPECT_GT(out[0].counter("mutation.leaky_gate_opens"), 0u);
-    // ... and the evidence re-run reproduced it with a trace.
-    EXPECT_TRUE(out[0].reproduced);
-    EXPECT_FALSE(out[0].evidence_trace.empty());
     // Timing bug only: the run still computes the right answer.
     EXPECT_TRUE(out[0].result.halted);
 }
@@ -317,15 +306,6 @@ TEST(KeepGoing, CrashIsolatedToItsSlot)
     EXPECT_EQ(out[2].job_desc, "the broken one");
     EXPECT_EQ(runner.lastSweep().failed_jobs, 1u);
     EXPECT_EQ(runner.lastSweep().first_failure, "the broken one");
-
-    // The partial-results report renders and is deterministic.
-    JsonWriter jw;
-    sweepReportJson(jw, grid, out, runner.lastSweep());
-    const std::string report = jw.str();
-    EXPECT_NE(report.find("\"failed_jobs\": 1"), std::string::npos);
-    EXPECT_NE(report.find("the broken one"), std::string::npos);
-    EXPECT_NE(report.find("unknown protection scheme"),
-              std::string::npos);
 }
 
 TEST(KeepGoing, DefaultPolicyStillThrowsDeterministically)

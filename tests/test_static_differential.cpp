@@ -60,7 +60,7 @@ runSeeds(uint64_t first_seed, unsigned count,
                }();
     }
 
-    totals.programs += sweep.programs;
+    totals.programs += sweep.per_program.size();
     totals.robust_checked += sweep.robust_checked;
     totals.windowed_checked += sweep.windowed_checked;
     totals.windowed_denied += sweep.windowed_denied;

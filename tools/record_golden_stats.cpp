@@ -8,6 +8,9 @@
  * Usage: build/tools/record_golden_stats [--jobs N] \
  *            > tests/golden_untaint_stats.inc
  *
+ * Exit codes follow common/cli.h: an unknown argument or a
+ * malformed --jobs value exits 2.
+ *
  * The cases run on the parallel experiment runner; the emitted
  * initializer is in fixed suite order, byte-identical for any
  * --jobs value.
@@ -39,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "common/fnv.h"
 #include "common/logging.h"
 #include "common/parallel.h"
@@ -86,19 +90,23 @@ printStatsHashes(unsigned jobs)
     return 0;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    setVerbose(false);
     bool fingerprints = false;
     bool stats_hashes = false;
     for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--fingerprints")
+        const std::string arg = argv[i];
+        if (arg == "--fingerprints")
             fingerprints = true;
-        if (std::string(argv[i]) == "--stats-hashes")
+        else if (arg == "--stats-hashes")
             stats_hashes = true;
+        else if (arg == "--jobs")
+            ++i; // value consumed by jobsFromArgs
+        else if (arg.rfind("--jobs=", 0) != 0)
+            SPT_FATAL("unknown argument " << arg
+                      << " (expected --jobs N / --fingerprints / "
+                         "--stats-hashes)");
     }
     const unsigned jobs = jobsFromArgs(argc, argv);
     if (stats_hashes)
@@ -159,4 +167,13 @@ main(int argc, char **argv)
                 c.name.c_str(), recorded);
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return toolMain("record_golden_stats",
+                    [&] { return run(argc, argv); });
 }

@@ -152,7 +152,6 @@ parse(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    setVerbose(false);
     return toolMain("spt_chaos", [&] {
         const Options opt = parse(argc, argv);
         ChaosConfig cfg = opt.cfg;

@@ -244,7 +244,6 @@ openOut(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    setVerbose(false);
     // Exit codes: 0 the run halted, 1 it did not (livelock /
     // cycle-budget exhaustion), 2 usage or environment errors
     // (unknown workload, malformed flag, unwritable output), 70

@@ -17,6 +17,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,6 +27,7 @@
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "sim/exp_runner.h"
+#include "sim/result_cache.h"
 #include "workloads/workloads.h"
 
 namespace spt {
@@ -32,12 +35,30 @@ namespace bench {
 
 /** Common bench CLI: "--jobs N" (or SPT_JOBS), "--out PATH" for the
  *  JSON artifact, and "--cache DIR" / "--cache-mode MODE" for the
- *  on-disk result cache. Unknown arguments are fatal: the benches
+ *  on-disk result cache. Unknown arguments, an unwritable --out
+ *  path, a bogus --cache-mode and a --cache-mode without a cache
+ *  directory are fatal before anything is simulated: the benches
  *  run inside toolMain (common/cli.h), so they exit 2. */
 struct BenchOptions {
     unsigned jobs = 1;
     std::string out_path;
 };
+
+/** Fails unless @p path can be opened for writing. The probe opens
+ *  for append, so an existing artifact is not truncated, and removes
+ *  the file again if the probe created it. */
+inline void
+requireWritable(const std::string &path)
+{
+    std::error_code ec;
+    const bool existed = std::filesystem::exists(path, ec);
+    FILE *f = std::fopen(path.c_str(), "a");
+    if (!f)
+        SPT_FATAL("cannot open " << path << " for writing");
+    std::fclose(f);
+    if (!existed)
+        std::remove(path.c_str());
+}
 
 inline BenchOptions
 parseBenchArgs(int argc, char **argv, const char *default_out)
@@ -53,6 +74,7 @@ parseBenchArgs(int argc, char **argv, const char *default_out)
                             const std::string &value) {
         setenv(name, value.c_str(), /*overwrite=*/1);
     };
+    std::optional<std::string> cache_mode;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const auto value_of = [&](const char *flag) {
@@ -73,15 +95,24 @@ parseBenchArgs(int argc, char **argv, const char *default_out)
         } else if (arg.rfind("--cache=", 0) == 0) {
             set_env("SPT_CACHE_DIR", arg.substr(8));
         } else if (arg == "--cache-mode") {
-            set_env("SPT_CACHE_MODE", value_of("--cache-mode"));
+            cache_mode = value_of("--cache-mode");
         } else if (arg.rfind("--cache-mode=", 0) == 0) {
-            set_env("SPT_CACHE_MODE", arg.substr(13));
+            cache_mode = arg.substr(13);
         } else {
             SPT_FATAL("unknown argument " << arg
                       << " (expected --jobs N / --out PATH / "
                          "--cache DIR / --cache-mode MODE)");
         }
     }
+    if (cache_mode) {
+        parseCacheMode(*cache_mode); // fatal on an unknown mode
+        const char *dir = std::getenv("SPT_CACHE_DIR");
+        if (dir == nullptr || *dir == '\0')
+            SPT_FATAL("--cache-mode needs a cache directory "
+                      "(--cache DIR or SPT_CACHE_DIR)");
+        set_env("SPT_CACHE_MODE", *cache_mode);
+    }
+    requireWritable(opt.out_path);
     return opt;
 }
 

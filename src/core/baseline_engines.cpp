@@ -63,12 +63,7 @@ SttEngine::taintedRegCount() const
 bool
 SttEngine::mayAccessMemory(const DynInst &d) const
 {
-    if (d.at_vp)
-        return true;
-    const bool blocked = regTainted(d.prs1);
-    if (blocked)
-        stats_.inc("policy.mem_blocked_checks");
-    return !blocked;
+    return d.at_vp || !regTainted(d.prs1);
 }
 
 bool
@@ -95,22 +90,6 @@ SttEngine::maySquashMemViolation(const DynInst &d) const
             continue;
         if (!st->at_vp && regTainted(st->prs1))
             return false;
-    }
-    return true;
-}
-
-bool
-SttEngine::transmitPublic(const DynInst &d, DelayKind kind) const
-{
-    // Stats-free mirror of the policy gates (the checker's ground
-    // truth; STT has no mutation modes, so gate == claim).
-    switch (kind) {
-      case DelayKind::kMemAccess:
-        return d.at_vp || !regTainted(d.prs1);
-      case DelayKind::kBranchResolve:
-        return mayResolveBranch(d);
-      case DelayKind::kMemOrderSquash:
-        return maySquashMemViolation(d);
     }
     return true;
 }

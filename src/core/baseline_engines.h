@@ -30,30 +30,12 @@ class SecureBaselineEngine : public SecurityEngine
   public:
     const char *name() const override { return "secure-baseline"; }
 
+    /** No memory access before the VP. The scheme gates nothing
+     *  else, and the base transmitPublic asks this gate. */
     bool
     mayAccessMemory(const DynInst &d) const override
     {
-        if (!d.at_vp)
-            stats_.inc("policy.mem_blocked_checks");
         return d.at_vp;
-    }
-
-    bool
-    transmitPublic(const DynInst &d, DelayKind kind) const override
-    {
-        // The scheme's claim: no memory access before the VP. It
-        // makes no claims about the other channels.
-        return kind == DelayKind::kMemAccess ? d.at_vp : true;
-    }
-
-    void
-    accrueBlockedTransmit(const DynInst &, DelayKind kind,
-                          uint64_t cycles) override
-    {
-        // Bulk form of the blocked mayAccessMemory stat (the only
-        // stat-carrying gate this scheme has).
-        if (kind == DelayKind::kMemAccess)
-            stats_.inc("policy.mem_blocked_checks", cycles);
     }
 };
 
@@ -70,19 +52,6 @@ class SttEngine : public SecurityEngine
     bool maySquashMemViolation(const DynInst &d) const override;
     bool stlForwardingPublic(const DynInst &load,
                              const DynInst &store) const override;
-
-    bool transmitPublic(const DynInst &d,
-                        DelayKind kind) const override;
-
-    void
-    accrueBlockedTransmit(const DynInst &, DelayKind kind,
-                          uint64_t cycles) override
-    {
-        // Bulk form of the blocked mayAccessMemory stat; the other
-        // gates are stats-pure.
-        if (kind == DelayKind::kMemAccess)
-            stats_.inc("policy.mem_blocked_checks", cycles);
-    }
 
     /** Is the value in @p reg currently s-tainted? */
     bool regTainted(PhysReg reg) const;

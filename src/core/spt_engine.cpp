@@ -444,19 +444,16 @@ SptEngine::operandsPublic(const DynInst &d) const
 bool
 SptEngine::mayAccessMemory(const DynInst &d) const
 {
-    const bool allowed = addrOperandPublic(d);
-    if (!allowed) {
-        stats_.inc(d.is_load ? "policy.load_blocked_checks"
-                             : "policy.store_blocked_checks");
-        if (cfg_.mutation == SptConfig::Mutation::kLeakyMemGate) {
-            // Seeded bug (chaos mutation mode): the gate lies. The
-            // transmitPublic claim below still tells the truth, so
-            // the InvariantChecker flags the ensuing access.
-            stats_.inc("mutation.leaky_gate_opens");
-            return true;
-        }
+    if (addrOperandPublic(d))
+        return true;
+    if (cfg_.mutation == SptConfig::Mutation::kLeakyMemGate) {
+        // Seeded bug (chaos mutation mode): the gate lies. The
+        // transmitPublic claim below still tells the truth, so the
+        // InvariantChecker flags the ensuing access.
+        stats_.inc("mutation.leaky_gate_opens");
+        return true;
     }
-    return allowed;
+    return false;
 }
 
 bool
@@ -637,19 +634,6 @@ SptEngine::quiescent() const
         entries_[vp_cursor_ & idx_mask_].inst->at_vp)
         return false;
     return true;
-}
-
-void
-SptEngine::accrueBlockedTransmit(const DynInst &d, DelayKind kind,
-                                 uint64_t cycles)
-{
-    // Bulk form of the stat side effect a blocked mayAccessMemory
-    // performs once per cycle; the branch-resolve and mem-order
-    // gates are stats-pure, so skipped cycles owe them nothing.
-    if (kind == DelayKind::kMemAccess)
-        stats_.inc(d.is_load ? "policy.load_blocked_checks"
-                             : "policy.store_blocked_checks",
-                   cycles);
 }
 
 // --------------------------------------------------------------------
@@ -890,7 +874,6 @@ SptEngine::broadcastPhase()
         // Starve the untaint bus for this cycle; raised flags stay
         // pending and drain on a later cycle.
         width = 0;
-        stats_.inc("fault.broadcast_starved_cycles");
     }
     // Drain raised flags in arbitration order (a head-to-tail bitmap
     // scan: older instruction first, destination before sources) up

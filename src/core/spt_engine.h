@@ -133,8 +133,6 @@ class SptEngine : public SecurityEngine
         // un-mutated policy only.
         return cfg_.mutation == SptConfig::Mutation::kNone;
     }
-    void accrueBlockedTransmit(const DynInst &d, DelayKind kind,
-                               uint64_t cycles) override;
     uint64_t taintedRegCount() const override;
 
     // --- inspection (tests/benches) -----------------------------------

@@ -38,7 +38,6 @@ MemorySystem::access(uint64_t addr, AccessKind kind, uint64_t now)
         l1d_.invalidate(addr);
         l2_.invalidate(addr);
         l3_.invalidate(addr);
-        stats_.inc("fault.evictions");
     }
 
     unsigned latency = l1.params().latency;
@@ -86,7 +85,6 @@ MemorySystem::access(uint64_t addr, AccessKind kind, uint64_t now)
         if (faults_ && faults_->fire(FaultSite::kMshrStall)) {
             // Synthetic MSHR-file pressure: reject as if full; the
             // LSU retries (same path as a genuine reject).
-            stats_.inc("fault.mshr_stalls");
             return {false, 0, 0};
         }
         const auto alloc =

@@ -64,15 +64,14 @@ configFor(const RunJob &job)
 }
 
 /** Classification order: the strongest signal wins. A violating run
- *  that also livelocked is a violation (the livelock is already one
- *  of its diagnostic reports); a run that merely stalled — the
- *  checker's only complaint being forward progress — is a
+ *  that also livelocked is a violation (the livelock is one more of
+ *  its diagnostic reports); a run that merely stalled is a
  *  livelock. */
 RunStatus
 classify(const Simulator &sim, const SimResult &r)
 {
     if (sim.invariants() != nullptr &&
-        sim.invariants()->securityViolations() != 0)
+        sim.invariants()->violations() != 0)
         return RunStatus::kViolation;
     switch (r.termination) {
       case Termination::kLivelock:

@@ -226,16 +226,19 @@ ResultCache::canonicalKey(const RunJob &job, KeyHashMemo *memo)
     // participates although it is result-identical by contract: it
     // changes the ff.* counters, and merging it would hide exactly
     // the regressions the equivalence gates exist to catch. The
-    // "resv1" prefix versions the key schema itself: changing how
-    // keys are derived must not alias old entries, so this text must
-    // stay byte-stable for every existing field. That is why `st=0`,
+    // "resv2" prefix versions the key schema itself: changing how
+    // keys are derived, or which counters a stored outcome carries,
+    // must not alias old entries (resv1 records still hold the
+    // duplicate policy.*, lsu.*, fault.* and commit.* counters).
+    // Within a version the text stays byte-stable for every
+    // existing field. That is why `st=0`,
     // `km=0000000000000000`, `ca=0` and `ck=0` remain as constants:
     // they held the taint-storage, knowledge-map and checkpoint knobs
     // of removed features, and every key already on disk has them.
     char buf[512];
     int n = std::snprintf(
         buf, sizeof buf,
-        "resv1|prog=%016" PRIx64 "|sch=%u|m=%u|sh=%u|bw=%u|st=0"
+        "resv2|prog=%016" PRIx64 "|sch=%u|m=%u|sh=%u|bw=%u|st=0"
         "|mut=%u|km=0000000000000000|am=%u|seed=%" PRIu64
         "|mc=%" PRIu64 "|tr=%u|pf=%u|iv=%" PRIu64 "|inv=%u"
         "|wd=%" PRIu64 "|ff=%u|ca=0|fs=%" PRIu64,

@@ -73,13 +73,8 @@ Simulator::run()
         injector_ = std::make_unique<FaultInjector>(config_.faults);
         core_->setFaultInjector(injector_.get());
     }
-    if (config_.invariants) {
-        InvariantChecker::Params p;
-        if (config_.core.watchdog_cycles != 0)
-            p.watchdog_cycles = config_.core.watchdog_cycles;
-        checker_ =
-            std::make_unique<InvariantChecker>(*core_, p);
-    }
+    if (config_.invariants)
+        checker_ = std::make_unique<InvariantChecker>(*core_);
     if (tracer_)
         observers_.add(tracer_.get());
     if (profiler_)
@@ -118,20 +113,20 @@ Simulator::run()
 std::string
 Simulator::diagnosticsJson() const
 {
-    if (checker_ && !checker_->reports().empty())
-        return checker_->reportsJson();
-    if (livelocked_) {
-        // The core watchdog tripped without a checker attached:
-        // synthesize the same livelock evidence it would have made.
-        const DiagnosticReport report =
-            InvariantChecker::livelockReport(*core_, core_->cycle());
-        JsonWriter jw;
-        jw.beginArray();
-        report.toJson(jw);
-        jw.endArray();
-        return jw.str();
-    }
-    return "[]";
+    const bool has_reports = checker_ && !checker_->reports().empty();
+    if (!has_reports && !livelocked_)
+        return "[]"; // JsonWriter writes an empty array as "[\n]"
+    JsonWriter jw;
+    jw.beginArray();
+    if (has_reports)
+        for (const DiagnosticReport &rep : checker_->reports())
+            rep.toJson(jw);
+    if (livelocked_)
+        InvariantChecker::livelockReport(*core_, core_->cycle(),
+                                         checker_.get())
+            .toJson(jw);
+    jw.endArray();
+    return jw.str();
 }
 
 void

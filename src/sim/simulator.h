@@ -75,8 +75,8 @@ class Simulator
         return checker_.get();
     }
     /** Structured DiagnosticReports as a JSON array: the checker's
-     *  reports when one is attached, a synthesized livelock report
-     *  when the core watchdog tripped without one, else "[]". */
+     *  reports, then a livelock report when the core watchdog
+     *  tripped; the literal "[]" when there is nothing to report. */
     std::string diagnosticsJson() const;
 
     /** Non-null after run() iff config.profile was set. */

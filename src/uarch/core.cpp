@@ -202,7 +202,10 @@ Core::quiescentCycle() const
     for (const DynInstPtr &d : rs_)
         if (operandsReady(*d))
             return false;
-    // Squash gates (stats-pure on every engine).
+    // Squash and memory gates (pure whenever fastForwardSafe
+    // holds). A gate-open load counts as live even if the access
+    // would be refused (MSHR full / dependence stalls mutate stats
+    // and cache state).
     for (const DynInstPtr &d : squash_candidates_) {
         if (d->squash_pending && engine_->mayResolveBranch(*d))
             return false;
@@ -210,14 +213,10 @@ Core::quiescentCycle() const
             engine_->maySquashMemViolation(*d))
             return false;
     }
-    // Memory gates, via the stats-pure transmitPublic claim (equal
-    // to the gate whenever fastForwardSafe holds). A gate-open load
-    // counts as live even if the access would be refused (MSHR
-    // full / dependence stalls mutate stats and cache state).
     for (const DynInstPtr &st : sq_) {
         if (!st->addr_known || st->completed || st->squashed)
             continue;
-        if (engine_->transmitPublic(*st, DelayKind::kMemAccess))
+        if (engine_->mayAccessMemory(*st))
             return false;
         break; // stores translate in order: only the first matters
     }
@@ -225,7 +224,7 @@ Core::quiescentCycle() const
         if (!ld->addr_known || ld->access_done || ld->squashed ||
             ld->mem_violation_pending)
             continue;
-        if (engine_->transmitPublic(*ld, DelayKind::kMemAccess))
+        if (engine_->mayAccessMemory(*ld))
             return false;
     }
     return engine_->quiescent();
@@ -247,9 +246,6 @@ Core::accrueSkippedCycles(uint64_t k)
         if (!st->addr_known || st->completed || st->squashed)
             continue;
         delay_mem_cycles_ += k;
-        stats_.inc("lsu.store_policy_delays", k);
-        engine_->accrueBlockedTransmit(*st, DelayKind::kMemAccess,
-                                       k);
         break;
     }
     for (const DynInstPtr &ld : lq_) {
@@ -257,9 +253,6 @@ Core::accrueSkippedCycles(uint64_t k)
             ld->mem_violation_pending)
             continue;
         delay_mem_cycles_ += k;
-        stats_.inc("lsu.load_policy_delay_cycles", k);
-        engine_->accrueBlockedTransmit(*ld, DelayKind::kMemAccess,
-                                       k);
     }
     if (!fetch_queue_.empty()) {
         const FetchEntry &fe = fetch_queue_.front();
@@ -482,7 +475,6 @@ Core::issueStage()
     if (faults_ && faults_->fire(FaultSite::kIssueJitter)) {
         // Scheduler jitter: nothing issues this cycle.
         issue_width = 0;
-        stats_.inc("fault.issue_stall_cycles");
     }
     unsigned issued = 0;
     // rs_ is kept in program order (dispatch order); oldest first.
@@ -574,7 +566,6 @@ Core::completeInst(const DynInstPtr &d)
                 // so no instruction past the VP is ever squashed.
                 d->squash_pending = true;
                 addSquashCandidate(d);
-                stats_.inc("fault.extra_squashes");
             }
         }
     }

@@ -40,7 +40,6 @@ Core::memStage()
             continue;
         if (!engine_->mayAccessMemory(*st)) {
             noteTransmitterDelay(*st, DelayKind::kMemAccess);
-            stats_.inc("lsu.store_policy_delays");
             break; // stores translate in order
         }
         st->access_done = true;
@@ -63,7 +62,6 @@ Core::memStage()
             continue;
         if (!engine_->mayAccessMemory(*ld)) {
             noteTransmitterDelay(*ld, DelayKind::kMemAccess);
-            stats_.inc("lsu.load_policy_delay_cycles");
             continue;
         }
         if (tryLoadAccess(ld))
@@ -126,7 +124,6 @@ Core::tryLoadAccess(const DynInstPtr &ld)
             // The data is still forwarded from the store — only the
             // latency (and cache state) changes.
             fast_path = false;
-            stats_.inc("fault.stl_denials");
         }
         if (fast_path) {
             // Ordinary forwarding fast path, no cache access.

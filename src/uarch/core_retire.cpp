@@ -55,7 +55,6 @@ Core::commitStage()
             observer_->retired(cycle_, *d);
         rob_.pop_front();
         ++retired_;
-        stats_.inc("commit.instructions");
 
         if (d->si.op == Opcode::kHalt) {
             halted_ = true;

@@ -1,7 +1,6 @@
 #include "uarch/invariant_checker.h"
 
 #include <algorithm>
-#include <cstring>
 #include <sstream>
 
 #include "common/json.h"
@@ -113,13 +112,7 @@ DiagnosticReport::toJson(JsonWriter &jw) const
 // InvariantChecker
 // --------------------------------------------------------------------
 
-InvariantChecker::InvariantChecker(Core &core)
-    : InvariantChecker(core, Params())
-{
-}
-
-InvariantChecker::InvariantChecker(Core &core, const Params &params)
-    : core_(core), params_(params)
+InvariantChecker::InvariantChecker(Core &core) : core_(core)
 {
     ring_.reserve(kEventRing);
 }
@@ -160,9 +153,7 @@ InvariantChecker::violation(const char *kind, std::string message,
                             uint64_t cycle, const DynInst *d)
 {
     ++violations_;
-    if (std::strcmp(kind, "livelock") == 0)
-        ++livelock_violations_;
-    if (reports_.size() >= params_.max_reports)
+    if (reports_.size() >= kMaxReports)
         return;
     DiagnosticReport rep;
     rep.kind = kind;
@@ -247,7 +238,6 @@ void
 InvariantChecker::retired(uint64_t cycle, const DynInst &d)
 {
     record(cycle, kEvRetired, d);
-    last_commit_cycle_ = cycle;
     if (d.seq <= last_retired_seq_) {
         std::ostringstream os;
         os << "commit order broken: seq " << d.seq
@@ -339,18 +329,6 @@ void
 InvariantChecker::cycleEnd(uint64_t cycle)
 {
     checkStructure(cycle);
-    if (params_.watchdog_cycles != 0 && !core_.halted() &&
-        cycle - last_commit_cycle_ > params_.watchdog_cycles) {
-        livelocked_ = true;
-        std::ostringstream os;
-        os << "no instruction committed since cycle "
-           << last_commit_cycle_ << " (watchdog "
-           << params_.watchdog_cycles << " cycles)";
-        violation("livelock", os.str(), cycle, nullptr);
-        // Re-arm so a continuing run reports again only after
-        // another full watchdog interval of silence.
-        last_commit_cycle_ = cycle;
-    }
 }
 
 void
@@ -367,19 +345,9 @@ InvariantChecker::finish(uint64_t final_cycle)
     }
 }
 
-std::string
-InvariantChecker::reportsJson() const
-{
-    JsonWriter jw;
-    jw.beginArray();
-    for (const DiagnosticReport &rep : reports_)
-        rep.toJson(jw);
-    jw.endArray();
-    return jw.str();
-}
-
 DiagnosticReport
-InvariantChecker::livelockReport(Core &core, uint64_t cycle)
+InvariantChecker::livelockReport(Core &core, uint64_t cycle,
+                                 const InvariantChecker *checker)
 {
     DiagnosticReport rep;
     rep.kind = "livelock";
@@ -387,6 +355,8 @@ InvariantChecker::livelockReport(Core &core, uint64_t cycle)
                   "watchdog interval";
     rep.cycle = cycle;
     rep.rob = robDump(core);
+    if (checker)
+        rep.events = checker->eventLines();
     rep.engine_counters = core.engine().stats().counters();
     return rep;
 }

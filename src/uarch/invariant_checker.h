@@ -1,13 +1,11 @@
 /**
  * @file
- * Runtime machine-wide invariant watchdog, attached through the
+ * Runtime machine-wide invariant checker, attached through the
  * PipelineObserver mux. Observes only — it never mutates simulated
  * state, so golden untaint.* counters are bit-identical with the
  * checker on (pinned by tests/test_fault_injection.cpp).
  *
- * Invariant catalogue (DESIGN.md §10):
- *  - forward progress: if no instruction commits for
- *    `watchdog_cycles`, declare livelock;
+ * Invariant catalogue (DESIGN.md §11):
  *  - commit order: retired seq numbers strictly increase;
  *  - no tainted transmitter: at every gate opening (memory access,
  *    branch resolution, memory-order squash) the engine's
@@ -26,6 +24,11 @@
  * (machine dump + the last 64 pipeline events) instead of aborting;
  * the run continues so a campaign can count every violation, and
  * sweeps classify the outcome afterwards (RunStatus::kViolation).
+ *
+ * Forward progress is not checked here: the core's retire watchdog
+ * (CoreParams::watchdog_cycles) is the one livelock detector, and
+ * livelockReport() turns its verdict into a report that carries
+ * this checker's event history.
  */
 
 #ifndef SPT_UARCH_INVARIANT_CHECKER_H
@@ -62,16 +65,10 @@ struct DiagnosticReport {
 class InvariantChecker : public PipelineObserver
 {
   public:
-    struct Params {
-        /** Cycles without a commit before livelock is declared;
-         *  0 disables the forward-progress check. */
-        uint64_t watchdog_cycles = 200'000;
-        /** Reports kept; violations past the cap are only counted. */
-        std::size_t max_reports = 8;
-    };
+    /** Reports kept; violations past the cap are only counted. */
+    static constexpr std::size_t kMaxReports = 8;
 
     explicit InvariantChecker(Core &core);
-    InvariantChecker(Core &core, const Params &params);
 
     // --- PipelineObserver ---------------------------------------------
     void rename(uint64_t cycle, const DynInst &d) override;
@@ -91,30 +88,21 @@ class InvariantChecker : public PipelineObserver
      *  stops, before reading verdicts. */
     void finish(uint64_t final_cycle);
 
-    bool clean() const { return violations_ == 0; }
+    /** Broken invariants — what sweeps classify as
+     *  RunStatus::kViolation. A run that merely stalled is a
+     *  livelock, which the core's watchdog reports. */
     uint64_t violations() const { return violations_; }
-    /** Violations excluding forward-progress (livelock) reports —
-     *  what sweeps classify as RunStatus::kViolation. A run that
-     *  merely stalled is a livelock, not a broken invariant; a run
-     *  that stalled *and* leaked is a violation. */
-    uint64_t
-    securityViolations() const
-    {
-        return violations_ - livelock_violations_;
-    }
-    bool livelocked() const { return livelocked_; }
     const std::vector<DiagnosticReport> &reports() const
     {
         return reports_;
     }
-    /** All retained reports as one JSON array (deterministic). */
-    std::string reportsJson() const;
 
-    /** Machine dump for a livelock detected by the core's own
-     *  watchdog when no checker is attached (Simulator uses this to
-     *  still produce a structured report). */
-    static DiagnosticReport livelockReport(Core &core,
-                                           uint64_t cycle);
+    /** Machine dump for a livelock detected by the core's retire
+     *  watchdog; carries @p checker's event history when one is
+     *  attached (nullptr otherwise). */
+    static DiagnosticReport
+    livelockReport(Core &core, uint64_t cycle,
+                   const InvariantChecker *checker);
 
   private:
     struct Event {
@@ -126,14 +114,10 @@ class InvariantChecker : public PipelineObserver
     static constexpr std::size_t kEventRing = 64;
 
     Core &core_;
-    Params params_;
 
     uint64_t violations_ = 0;
-    uint64_t livelock_violations_ = 0;
-    bool livelocked_ = false;
     std::vector<DiagnosticReport> reports_;
 
-    uint64_t last_commit_cycle_ = 0;
     SeqNum last_retired_seq_ = 0;
     uint64_t observed_untaints_ = 0;
 

@@ -49,6 +49,10 @@ class SecurityEngine
     virtual void onStoreCommit(const DynInst &) {}
 
     // --- protection-policy queries ------------------------------------
+    // Pure predicates: the core counts each blocked cycle once, in
+    // delay.*, so a gate records nothing (a seeded chaos mutation,
+    // which also refuses fastForwardSafe, is the one exception).
+
     /** May this load/store perform its memory access (TLB + cache),
      *  i.e., transmit its address operand? */
     virtual bool mayAccessMemory(const DynInst &) const
@@ -96,14 +100,16 @@ class SecurityEngine
 
     /** May the core fast-forward at all under this engine? Engines
      *  whose policy gates mutate state or deliberately diverge from
-     *  transmitPublic (chaos mutations) must refuse. */
+     *  transmitPublic (chaos mutations) must refuse. While this
+     *  holds, the gates are state- and stats-pure, so the core may
+     *  ask them whether a skipped cycle would have stayed blocked. */
     virtual bool fastForwardSafe() const { return true; }
 
-    /** Bulk equivalent of the per-cycle stat accrual a blocked
-     *  policy query performs: @p d stayed blocked on @p kind for
-     *  @p cycles consecutive skipped cycles. Engines whose gates
-     *  count block decisions (SPT, SecureBaseline) override this so
-     *  fast-forwarded runs keep bit-identical counters. */
+    /** @p d stayed blocked on @p kind for @p cycles skipped cycles.
+     *  The core never calls this: a blocked gate counts nothing, and
+     *  the core charges skipped delay cycles to delay.* itself. The
+     *  declaration stays only because perfbench's TimedEngine
+     *  decorator overrides it. */
     virtual void accrueBlockedTransmit(const DynInst &, DelayKind,
                                        uint64_t /*cycles*/)
     {
@@ -119,11 +125,22 @@ class SecurityEngine
      * InvariantChecker queries it at every gate opening; a scheme
      * whose gate lets a non-public transmit through is flagged as a
      * security violation. Must be state- and stats-pure. The default
-     * matches UnsafeEngine's contract: it makes no claims, so
-     * everything is "public" and the checker never flags it.
+     * asks the scheme's own gate for @p kind, which is the claim of
+     * every scheme without a seeded mutation (UnsafeEngine's gates
+     * always open, so the checker never flags it). An engine whose
+     * gate can lie must override this with the un-mutated predicate.
      */
-    virtual bool transmitPublic(const DynInst &, DelayKind) const
+    virtual bool
+    transmitPublic(const DynInst &d, DelayKind kind) const
     {
+        switch (kind) {
+          case DelayKind::kMemAccess:
+            return mayAccessMemory(d);
+          case DelayKind::kBranchResolve:
+            return mayResolveBranch(d);
+          case DelayKind::kMemOrderSquash:
+            return maySquashMemViolation(d);
+        }
         return true;
     }
 
@@ -176,7 +193,9 @@ class SecurityEngine
   protected:
     Core *core_ = nullptr;
     PipelineObserver *observer_ = nullptr;
-    /** Mutable: const policy queries count their block decisions. */
+    /** Mutable for one const gate only: SPT's seeded
+     *  kLeakyMemGate mutation counts mutation.leaky_gate_opens,
+     *  which the chaos campaign reads. Every other gate is pure. */
     mutable StatSet stats_;
 };
 

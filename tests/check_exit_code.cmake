@@ -4,7 +4,13 @@
 # 2 (usage error) from 70 (internal bug) — see src/common/cli.h —
 # and the negative-path CLI gates must pin the exact code.
 #
-# Usage: cmake -DCMD=<bin;arg;...> -DEXPECT=<code> -P check_exit_code.cmake
+# An optional FORBID regex also fails the gate when it matches the
+# command's stdout or stderr, for a gate whose exit code alone does
+# not show when the failure happened (say, after a sweep it should
+# have refused to start).
+#
+# Usage: cmake -DCMD=<bin;arg;...> -DEXPECT=<code> [-DFORBID=<regex>]
+#              -P check_exit_code.cmake
 
 if(NOT DEFINED CMD OR NOT DEFINED EXPECT)
     message(FATAL_ERROR
@@ -20,5 +26,11 @@ execute_process(COMMAND ${CMD}
 if(NOT rc EQUAL EXPECT)
     message(FATAL_ERROR
         "expected exit ${EXPECT}, got '${rc}'\n"
+        "command: ${CMD}\nstdout:\n${out}\nstderr:\n${err}")
+endif()
+
+if(DEFINED FORBID AND "${out}${err}" MATCHES "${FORBID}")
+    message(FATAL_ERROR
+        "output matches the forbidden pattern '${FORBID}'\n"
         "command: ${CMD}\nstdout:\n${out}\nstderr:\n${err}")
 endif()

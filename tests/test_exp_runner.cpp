@@ -518,7 +518,7 @@ TEST(ResultCache, CanonicalKeyIsContentAddressed)
     jg.attack_model = golden.model;
     EXPECT_EQ(golden.name, "pchase/futuristic");
     EXPECT_EQ(ResultCache::canonicalKey(jg),
-              "resv1|prog=3e82cf8edc082265|sch=3|m=2|sh=1|bw=3|st=0"
+              "resv2|prog=3e82cf8edc082265|sch=3|m=2|sh=1|bw=3|st=0"
               "|mut=0|km=0000000000000000|am=1|seed=0|mc=500000000"
               "|tr=0|pf=0|iv=0|inv=0|wd=0|ff=0|ca=0|fs=0|f0=0|f1=0"
               "|f2=0|f3=0|f4=0|f5=0|ck=0");
@@ -540,8 +540,8 @@ TEST(ResultCache, OutcomeRecordBytesArePinned)
     job.attack_model = golden.model;
     const std::string bytes = ResultCache::encodeOutcomeDeterministic(
         ExpRunner(1).run({job}).at(0));
-    EXPECT_EQ(bytes.size(), 888u);
-    EXPECT_EQ(fnv1a(bytes), 0xfd1ad99fb6507091ull);
+    EXPECT_EQ(bytes.size(), 846u);
+    EXPECT_EQ(fnv1a(bytes), 0x1a3696a7605d45c5ull);
 }
 
 TEST(ResultCache, CanonicalKeyCoversEveryDescriptorField)

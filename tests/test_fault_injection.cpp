@@ -253,8 +253,24 @@ TEST(Watchdog, CheckerLivelockAndRunnerClassification)
         ExpRunner(1).run({job}, policy);
     EXPECT_EQ(out[0].status, RunStatus::kLivelock);
     EXPECT_EQ(out[0].result.termination, Termination::kLivelock);
-    EXPECT_NE(out[0].diagnostics_json.find("livelock"),
-              std::string::npos);
+    // One detector, one report: the core watchdog's.
+    const std::string &diag = out[0].diagnostics_json;
+    const std::string kind = "\"kind\": \"livelock\"";
+    const std::size_t first = diag.find(kind);
+    ASSERT_NE(first, std::string::npos) << diag;
+    EXPECT_EQ(diag.find(kind, first + 1), std::string::npos) << diag;
+
+    // With instructions in flight when it trips, the report carries
+    // the checker's event history ("cycle=... <event> seq=...").
+    SimConfig cfg;
+    cfg.engine.scheme = ProtectionScheme::kSpt;
+    cfg.core.watchdog_cycles = 10;
+    cfg.core.perfect_icache = true;
+    cfg.invariants = true;
+    Simulator sim(pchase, cfg);
+    EXPECT_EQ(sim.run().termination, Termination::kLivelock);
+    EXPECT_NE(sim.diagnosticsJson().find("cycle="), std::string::npos)
+        << sim.diagnosticsJson();
 }
 
 TEST(Watchdog, CycleBudgetClassifiesAsTimeout)

@@ -38,7 +38,9 @@ namespace bench {
  *  on-disk result cache. Unknown arguments, an unwritable --out
  *  path, a bogus --cache-mode and a --cache-mode without a cache
  *  directory are fatal before anything is simulated: the benches
- *  run inside toolMain (common/cli.h), so they exit 2. */
+ *  run inside toolMain (common/cli.h), so they exit 2. A
+ *  SPT_CACHE_MODE in the environment gets the same checks as the
+ *  flag. */
 struct BenchOptions {
     unsigned jobs = 1;
     std::string out_path;
@@ -104,11 +106,19 @@ parseBenchArgs(int argc, char **argv, const char *default_out)
                          "--cache DIR / --cache-mode MODE)");
         }
     }
+    const char *mode_source = "--cache-mode";
+    if (!cache_mode) {
+        const char *env_mode = std::getenv("SPT_CACHE_MODE");
+        if (env_mode != nullptr && *env_mode != '\0') {
+            cache_mode = env_mode;
+            mode_source = "SPT_CACHE_MODE";
+        }
+    }
     if (cache_mode) {
         parseCacheMode(*cache_mode); // fatal on an unknown mode
         const char *dir = std::getenv("SPT_CACHE_DIR");
         if (dir == nullptr || *dir == '\0')
-            SPT_FATAL("--cache-mode needs a cache directory "
+            SPT_FATAL(mode_source << " needs a cache directory "
                       "(--cache DIR or SPT_CACHE_DIR)");
         set_env("SPT_CACHE_MODE", *cache_mode);
     }

@@ -83,10 +83,11 @@ BranchPredictorUnit::repair(uint64_t pc, const Instruction &inst,
         ras_.push(pc + 1);
 }
 
-BranchPredictorUnit::Checkpoint
-BranchPredictorUnit::checkpoint() const
+void
+BranchPredictorUnit::checkpoint(Checkpoint &cp) const
 {
-    return {ltage_.checkpoint(), ras_.checkpoint()};
+    ltage_.checkpoint(cp.dir);
+    cp.ras = ras_.checkpoint();
 }
 
 void

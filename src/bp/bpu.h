@@ -46,7 +46,8 @@ class BranchPredictorUnit
     void commitUpdate(uint64_t pc, const Instruction &inst, bool taken,
                       uint64_t target);
 
-    Checkpoint checkpoint() const;
+    /** Fills @p cp in place (a reused slot allocates nothing). */
+    void checkpoint(Checkpoint &cp) const;
     void restore(const Checkpoint &cp);
 
     /** Mispredict recovery: after restore() of the offending

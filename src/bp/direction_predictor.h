@@ -37,8 +37,9 @@ class DirectionPredictor
     /** Commit-time training with the architectural outcome. */
     virtual void update(uint64_t pc, bool taken) = 0;
 
-    /** Captures/restores speculative state (history registers). */
-    virtual BpCheckpoint checkpoint() const = 0;
+    /** Captures speculative state (history registers) into @p cp,
+     *  reusing its storage, and restores it. */
+    virtual void checkpoint(BpCheckpoint &cp) const = 0;
     virtual void restore(const BpCheckpoint &cp) = 0;
 };
 

@@ -40,10 +40,10 @@ LtagePredictor::update(uint64_t pc, bool taken)
         use_loop_.train(loop_.confident(pc));
 }
 
-BpCheckpoint
-LtagePredictor::checkpoint() const
+void
+LtagePredictor::checkpoint(BpCheckpoint &cp) const
 {
-    return tage_.checkpoint();
+    tage_.checkpoint(cp);
 }
 
 void

@@ -21,7 +21,7 @@ class LtagePredictor : public DirectionPredictor
 
     bool predict(uint64_t pc) override;
     void update(uint64_t pc, bool taken) override;
-    BpCheckpoint checkpoint() const override;
+    void checkpoint(BpCheckpoint &cp) const override;
     void restore(const BpCheckpoint &cp) override;
 
     /** Must be called after any squash (see LoopPredictor). */

@@ -22,7 +22,7 @@ class BimodalPredictor : public DirectionPredictor
 
     bool predict(uint64_t pc) override;
     void update(uint64_t pc, bool taken) override;
-    BpCheckpoint checkpoint() const override { return {}; }
+    void checkpoint(BpCheckpoint &cp) const override { cp.words.clear(); }
     void restore(const BpCheckpoint &) override {}
 
   private:

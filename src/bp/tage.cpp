@@ -199,17 +199,19 @@ TagePredictor::update(uint64_t pc, bool taken)
     pushHistory(committed_, taken);
 }
 
-BpCheckpoint
-TagePredictor::checkpoint() const
+void
+TagePredictor::checkpoint(BpCheckpoint &cp) const
 {
-    BpCheckpoint cp;
-    cp.words.push_back(spec_.history.head());
+    // resize() keeps the capacity of a reused checkpoint, so a warm
+    // checkpoint slot is refilled without allocating.
+    cp.words.resize(1 + 3 * size_t{config_.num_tables});
+    cp.words[0] = spec_.history.head();
+    size_t i = 1;
     for (unsigned t = 0; t < config_.num_tables; ++t) {
-        cp.words.push_back(spec_.index_fold[t].value());
-        cp.words.push_back(spec_.tag_fold0[t].value());
-        cp.words.push_back(spec_.tag_fold1[t].value());
+        cp.words[i++] = spec_.index_fold[t].value();
+        cp.words[i++] = spec_.tag_fold0[t].value();
+        cp.words[i++] = spec_.tag_fold1[t].value();
     }
-    return cp;
 }
 
 void

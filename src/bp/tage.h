@@ -102,7 +102,7 @@ class TagePredictor : public DirectionPredictor
 
     bool predict(uint64_t pc) override;
     void update(uint64_t pc, bool taken) override;
-    BpCheckpoint checkpoint() const override;
+    void checkpoint(BpCheckpoint &cp) const override;
     void restore(const BpCheckpoint &cp) override;
 
     /** Pushes a speculative-history bit without predicting (used to

@@ -166,6 +166,9 @@ SptEngine::raiseFlag(Entry &e, int slot)
         static_cast<uint64_t>(&e - entries_.data());
     pending_flags_.raise(idx, static_cast<unsigned>(slot));
     slotFlag(e.it, slot) = true;
+    // A flag is raised exactly when a local mask shrank: the core's
+    // memoised memory-gate verdicts may be stale.
+    core_->noteGateInputsChanged();
 }
 
 void
@@ -359,6 +362,9 @@ SptEngine::onLoadData(DynInst &d, bool forwarded, SeqNum)
         return;
     InstTaint &it = e->it;
     it.load_data_seen = true;
+    if (!d.has_dest)
+        return; // a load into x0: its value is never observed, so
+                // neither the load rule nor the STL rule applies
     if (forwarded && !e->stl_candidate) {
         // Either direction of the STL rule may fire later, whatever
         // the current masks (Section 6.7).
@@ -858,8 +864,10 @@ SptEngine::applyBroadcast(PhysReg reg, TaintMask mask)
         // matches the broadcast value.
         if (m == mask)
             clearFlag(e, ref.slot);
-        if (m != before)
+        if (m != before) {
             markLocalDirty(e);
+            core_->noteGateInputsChanged();
+        }
     }
     refs.resize(w);
     stats_.inc("untaint.broadcasts");

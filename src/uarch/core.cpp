@@ -6,6 +6,20 @@
 
 namespace spt {
 
+namespace {
+
+/** Heap order for completion events: the earliest (cycle, order)
+ *  on top. */
+template <typename Event>
+bool
+laterEvent(const Event &lhs, const Event &rhs)
+{
+    return lhs.cycle != rhs.cycle ? lhs.cycle > rhs.cycle
+                                  : lhs.order > rhs.order;
+}
+
+} // namespace
+
 Core::Core(Program program, const CoreParams &params,
            const MemorySystemParams &mem_params,
            std::unique_ptr<SecurityEngine> engine)
@@ -18,7 +32,24 @@ Core::Core(Program program, const CoreParams &params,
     // Architectural initial state: sp points at the stack top. The
     // initial RAT maps xN -> phys N, so write phys kRegSp directly.
     prf_.write(kRegSp, kDefaultStackTop);
+    waiters_.resize(params_.num_phys_regs);
+    // Every in-flight control instruction holds a checkpoint: at most
+    // the ROB plus a full fetch queue plus one fetch group.
+    uint64_t cap = 1;
+    while (cap < uint64_t{params_.rob_size} + params_.fetch_queue_size +
+                     params_.fetch_width)
+        cap <<= 1;
+    checkpoints_.resize(cap);
+    cp_mask_ = cap - 1;
     engine_->attach(*this);
+    memo_gates_ = engine_->fastForwardSafe();
+}
+
+bool
+Core::needsReservationStation(const DynInst &d)
+{
+    return !(d.si.op == Opcode::kNop || d.si.op == Opcode::kHalt ||
+             (d.si.op == Opcode::kJal && !d.has_dest));
 }
 
 uint64_t
@@ -56,14 +87,45 @@ Core::readOperand(PhysReg reg) const
     return reg == kNoPhysReg ? 0 : prf_.value(reg);
 }
 
-bool
-Core::operandsReady(const DynInst &d) const
+void
+Core::writeReg(PhysReg reg, uint64_t value)
 {
-    if (d.num_srcs >= 1 && !prf_.ready(d.prs1))
-        return false;
-    if (d.num_srcs >= 2 && !prf_.ready(d.prs2))
-        return false;
-    return true;
+    prf_.write(reg, value);
+    std::vector<DynInstPtr> &waiting = waiters_[reg];
+    for (const DynInstPtr &w : waiting)
+        if (!w->squashed && --w->waiting_srcs == 0)
+            insertReady(w);
+    waiting.clear();
+}
+
+void
+Core::insertReady(const DynInstPtr &d)
+{
+    // Wakeups are out of order: insert at the seq position.
+    const auto pos = std::upper_bound(
+        ready_.begin(), ready_.end(), d->seq,
+        [](SeqNum s, const DynInstPtr &r) { return s < r->seq; });
+    ready_.insert(pos, d);
+}
+
+void
+Core::scheduleCompletion(uint64_t cycle, const DynInstPtr &d)
+{
+    completions_.push_back({cycle, completion_order_++, d});
+    std::push_heap(completions_.begin(), completions_.end(),
+                   laterEvent<CompletionEvent>);
+}
+
+bool
+Core::memGateOpen(DynInst &d) const
+{
+    if (!memo_gates_)
+        return engine_->mayAccessMemory(d);
+    if (d.gate_epoch != gate_epoch_) {
+        d.gate_open = engine_->mayAccessMemory(d);
+        d.gate_epoch = gate_epoch_;
+    }
+    return d.gate_open;
 }
 
 unsigned
@@ -149,8 +211,15 @@ Core::run(uint64_t max_cycles)
     }
     stats_.set("cycles", cycle_);
     stats_.set("instructions", retired_);
-    // Publish the per-gate delay totals with the engine's counters
-    // (they are properties of the protection scheme, not the core).
+    publishDelayStats();
+    return {cycle_, retired_, halted_, livelocked};
+}
+
+void
+Core::publishDelayStats()
+{
+    // The per-gate delay totals go with the engine's counters (they
+    // are properties of the protection scheme, not the core).
     StatSet &es = engine_->stats();
     es.set("delay.mem_cycles", delay_mem_cycles_);
     es.set("delay.branch_cycles", delay_branch_cycles_);
@@ -158,7 +227,6 @@ Core::run(uint64_t max_cycles)
     es.set("delay.total_cycles", delay_mem_cycles_ +
                                      delay_branch_cycles_ +
                                      delay_memorder_cycles_);
-    return {cycle_, retired_, halted_, livelocked};
 }
 
 // --------------------------------------------------------------------
@@ -199,9 +267,8 @@ Core::quiescentCycle() const
             return false;
     }
     // Issue: any ready reservation-station entry would issue.
-    for (const DynInstPtr &d : rs_)
-        if (operandsReady(*d))
-            return false;
+    if (!ready_.empty())
+        return false;
     // Squash and memory gates (pure whenever fastForwardSafe
     // holds). A gate-open load counts as live even if the access
     // would be refused (MSHR full / dependence stalls mutate stats
@@ -216,7 +283,7 @@ Core::quiescentCycle() const
     for (const DynInstPtr &st : sq_) {
         if (!st->addr_known || st->completed || st->squashed)
             continue;
-        if (engine_->mayAccessMemory(*st))
+        if (memGateOpen(*st))
             return false;
         break; // stores translate in order: only the first matters
     }
@@ -224,7 +291,7 @@ Core::quiescentCycle() const
         if (!ld->addr_known || ld->access_done || ld->squashed ||
             ld->mem_violation_pending)
             continue;
-        if (engine_->mayAccessMemory(*ld))
+        if (memGateOpen(*ld))
             return false;
     }
     return engine_->quiescent();
@@ -275,8 +342,8 @@ Core::tryFastForward(uint64_t max_cycles,
     // work. max_cycles itself still ticks for real (matching the
     // run() loop bound), as does the watchdog-tripping cycle.
     uint64_t wake = max_cycles;
-    if (!completion_events_.empty())
-        wake = std::min(wake, completion_events_.begin()->first);
+    if (!completions_.empty())
+        wake = std::min(wake, completions_.front().cycle);
     if (fetch_stall_until_ > cycle_)
         wake = std::min(wake, fetch_stall_until_);
     if (!fetch_queue_.empty() &&
@@ -333,7 +400,7 @@ Core::fetchStage()
             icache_latency = res.latency;
         }
 
-        auto d = std::make_shared<DynInst>();
+        DynInstPtr d = inst_pool_.make();
         d->seq = next_seq_++;
         d->pc = pc;
         d->si = program_.at(pc);
@@ -348,8 +415,11 @@ Core::fetchStage()
         d->mem_bytes = t.mem_bytes;
 
         if (d->is_ctrl) {
-            d->has_checkpoint = true;
-            d->checkpoint = bpu_.checkpoint();
+            SPT_ASSERT(cp_tail_ - cp_head_ < checkpoints_.size(),
+                       "checkpoint ring overflow");
+            CheckpointSlot &slot = checkpointAt(cp_tail_++);
+            slot.seq = d->seq;
+            bpu_.checkpoint(slot.cp);
             const BranchPrediction p = bpu_.predict(pc, d->si);
             d->predicted_taken = p.taken;
             d->pred_next_pc = p.next_pc;
@@ -378,18 +448,6 @@ Core::fetchStage()
 // Rename + dispatch
 // --------------------------------------------------------------------
 
-namespace {
-
-/** NOP/HALT/plain JAL complete at dispatch and skip the RS. */
-bool
-needsReservationStation(const DynInst &d)
-{
-    return !(d.si.op == Opcode::kNop || d.si.op == Opcode::kHalt ||
-             (d.si.op == Opcode::kJal && !d.has_dest));
-}
-
-} // namespace
-
 const char *
 Core::renameHazardStat(const DynInst &d) const
 {
@@ -403,7 +461,7 @@ Core::renameHazardStat(const DynInst &d) const
         return "rename.lq_full";
     if (d.is_store && sq_.size() >= params_.sq_size)
         return "rename.sq_full";
-    if (needsReservationStation(d) && rs_.size() >= params_.rs_size)
+    if (needsReservationStation(d) && rs_count_ >= params_.rs_size)
         return "rename.rs_full";
     return nullptr;
 }
@@ -452,7 +510,21 @@ Core::renameDispatchStage()
             store_sets_.storeRenamed(d->pc, d->seq);
         }
         if (needs_rs) {
-            rs_.push_back(d);
+            ++rs_count_;
+            // Wait on each distinct source that is not ready yet.
+            if (d->num_srcs >= 1 && !prf_.ready(d->prs1)) {
+                waiters_[d->prs1].push_back(d);
+                ++d->waiting_srcs;
+            }
+            if (d->num_srcs >= 2 && d->prs2 != d->prs1 &&
+                !prf_.ready(d->prs2)) {
+                waiters_[d->prs2].push_back(d);
+                ++d->waiting_srcs;
+            }
+            // Dispatch is in seq order, so a ready entry is the
+            // youngest in the list.
+            if (d->waiting_srcs == 0)
+                ready_.push_back(d);
         } else {
             // NOP/HALT/plain JAL complete at dispatch.
             d->executed = true;
@@ -476,15 +548,12 @@ Core::issueStage()
         // Scheduler jitter: nothing issues this cycle.
         issue_width = 0;
     }
-    unsigned issued = 0;
-    // rs_ is kept in program order (dispatch order); oldest first.
-    for (const DynInstPtr &d : rs_) {
-        if (issued >= issue_width)
-            break;
-        if (d->issued || !operandsReady(*d))
-            continue;
+    // The ready list is in seq order: the oldest ready entries issue.
+    const std::size_t n =
+        std::min<std::size_t>(issue_width, ready_.size());
+    for (std::size_t i = 0; i < n; ++i) {
+        const DynInstPtr &d = ready_[i];
         d->issued = true;
-        ++issued;
         stats_.inc("issue.instructions");
         if (observer_)
             observer_->issue(cycle_, *d);
@@ -492,10 +561,11 @@ Core::issueStage()
         const uint64_t rs1v = readOperand(d->prs1);
         const uint64_t rs2v = readOperand(d->prs2);
         d->exec = evaluateOp(d->si, d->pc, rs1v, rs2v);
-        completion_events_.emplace(cycle_ + execLatency(d->si), d);
+        scheduleCompletion(cycle_ + execLatency(d->si), d);
     }
-    std::erase_if(rs_,
-                  [](const DynInstPtr &d) { return d->issued; });
+    ready_.erase(ready_.begin(),
+                 ready_.begin() + static_cast<std::ptrdiff_t>(n));
+    rs_count_ -= static_cast<unsigned>(n);
 }
 
 // --------------------------------------------------------------------
@@ -505,10 +575,12 @@ Core::issueStage()
 void
 Core::writebackStage()
 {
-    while (!completion_events_.empty() &&
-           completion_events_.begin()->first <= cycle_) {
-        DynInstPtr d = completion_events_.begin()->second;
-        completion_events_.erase(completion_events_.begin());
+    while (!completions_.empty() &&
+           completions_.front().cycle <= cycle_) {
+        std::pop_heap(completions_.begin(), completions_.end(),
+                      laterEvent<CompletionEvent>);
+        const DynInstPtr d = std::move(completions_.back().inst);
+        completions_.pop_back();
         if (d->squashed)
             continue;
         completeInst(d);
@@ -544,7 +616,7 @@ Core::completeInst(const DynInstPtr &d)
         observer_->executed(cycle_, *d);
     if (d->has_dest) {
         d->result = d->exec.value;
-        prf_.write(d->prd, d->result);
+        writeReg(d->prd, d->result);
     }
     if (d->is_ctrl) {
         d->actual_next_pc =

@@ -23,7 +23,6 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -119,6 +118,20 @@ class Core
      *  The pointer is valid until the instruction leaves the ROB. */
     DynInst *findInst(SeqNum seq) const;
 
+    /** Memory-gate epoch. It advances whenever an input of some
+     *  mayAccessMemory verdict may have changed: updateVp setting an
+     *  at_vp, a retire, a squash, or an engine reporting a taint-mask
+     *  change through noteGateInputsChanged(). A load or store whose
+     *  DynInst::gate_epoch equals it holds a current memoised
+     *  verdict in DynInst::gate_open. */
+    uint64_t gateEpoch() const { return gate_epoch_; }
+    void noteGateInputsChanged() { ++gate_epoch_; }
+
+    /** Writes the per-gate delay totals (delay.*) into the engine's
+     *  StatSet. run() calls it on return; a mid-run diagnostic
+     *  snapshot of the engine counters calls it first. */
+    void publishDelayStats();
+
     MemorySystem &memorySystem() { return memsys_; }
     ByteMemory &memory() { return mem_; }
     PhysRegFile &physRegs() { return prf_; }
@@ -162,7 +175,21 @@ class Core
         DynInstPtr inst;
         uint64_t ready_cycle;
     };
+    /** Pre-prediction predictor state of one in-flight control
+     *  instruction. */
+    struct CheckpointSlot {
+        SeqNum seq = 0;
+        BranchPredictorUnit::Checkpoint cp;
+    };
+    struct CompletionEvent {
+        uint64_t cycle;
+        uint64_t order; ///< insertion order: same-cycle events are FIFO
+        DynInstPtr inst;
+    };
 
+    /** Every DynInst comes from here. Declared first so that it
+     *  outlives every structure below that holds handles. */
+    DynInstPool inst_pool_;
     Program program_;
     CoreParams params_;
     MemorySystem memsys_;
@@ -183,7 +210,7 @@ class Core
     FaultHooks *faults_ = nullptr;
     /** Transmitter-delay cycles per gate, accumulated as plain
      *  integers on the hot path and published to the engine's StatSet
-     *  (delay.*) at the end of run(). */
+     *  (delay.*) by publishDelayStats(). */
     uint64_t delay_mem_cycles_ = 0;
     uint64_t delay_branch_cycles_ = 0;
     uint64_t delay_memorder_cycles_ = 0;
@@ -192,6 +219,15 @@ class Core
     uint64_t fetch_pc_;
     uint64_t fetch_stall_until_ = 0;
     std::deque<FetchEntry> fetch_queue_;
+    /** Checkpoints of the in-flight control instructions in fetch
+     *  (= seq) order, a power-of-two ring over logical positions
+     *  [cp_head_, cp_tail_): pushed at fetch, popped at the head when
+     *  the instruction commits and at the tail when it is squashed.
+     *  A slot is refilled in place. */
+    std::vector<CheckpointSlot> checkpoints_;
+    uint64_t cp_mask_ = 0;
+    uint64_t cp_head_ = 0;
+    uint64_t cp_tail_ = 0;
 
     // Backend structures.
     std::deque<DynInstPtr> rob_;
@@ -202,10 +238,26 @@ class Core
      *  clears or it is squashed; a flagged instruction cannot
      *  commit, so no other exit exists. */
     std::vector<DynInstPtr> squash_candidates_;
-    std::vector<DynInstPtr> rs_;
+    /** Reservation-station entries: dispatched, not yet issued or
+     *  squashed (the rename.rs_full hazard). */
+    unsigned rs_count_ = 0;
+    /** The RS entries whose operands are all ready, in seq order;
+     *  issue takes the front. Fed at dispatch and by writeReg. An RS
+     *  operand only ever turns ready: a source register is freed only
+     *  after its consumers have left the RS. */
+    std::vector<DynInstPtr> ready_;
+    /** Per physical register: the RS entries waiting for its value
+     *  (squashed ones are skipped at wakeup). */
+    std::vector<std::vector<DynInstPtr>> waiters_;
     std::vector<DynInstPtr> lq_;
     std::vector<DynInstPtr> sq_;
-    std::multimap<uint64_t, DynInstPtr> completion_events_;
+    /** Binary min-heap on (cycle, order). */
+    std::vector<CompletionEvent> completions_;
+    uint64_t completion_order_ = 0;
+    /** See gateEpoch(). The memo is used only while the engine's
+     *  gates are pure (fastForwardSafe). */
+    uint64_t gate_epoch_ = 1;
+    bool memo_gates_ = false;
 
     CommitHook commit_hook_;
 
@@ -244,16 +296,31 @@ class Core
     /** Inserts @p d, whose squash flag was just set, into
      *  squash_candidates_ at its seq position. */
     void addSquashCandidate(const DynInstPtr &d);
+    /** Writes a destination register and wakes its waiters. */
+    void writeReg(PhysReg reg, uint64_t value);
+    void insertReady(const DynInstPtr &d);
+    void scheduleCompletion(uint64_t cycle, const DynInstPtr &d);
+    CheckpointSlot &checkpointAt(uint64_t pos)
+    {
+        return checkpoints_[pos & cp_mask_];
+    }
+    /** mayAccessMemory(@p d), memoised in @p d per gate epoch while
+     *  the gates are pure. */
+    bool memGateOpen(DynInst &d) const;
     void completeInst(const DynInstPtr &d);
     void completeLoadData(const DynInstPtr &d);
     bool tryLoadAccess(const DynInstPtr &d);
     void checkViolationsFromStore(const DynInstPtr &st);
     void performControlSquash(const DynInstPtr &branch);
     void performMemSquash(const DynInstPtr &load);
+    /** Squashes every instruction from @p first_squashed on and
+     *  refetches at @p new_fetch_pc; @p resolved_branch (or nullptr)
+     *  is the branch whose checkpoint the recovery restores. */
     void squashFrom(SeqNum first_squashed, uint64_t new_fetch_pc,
-                    const DynInstPtr &restore_ctrl);
+                    const DynInst *resolved_branch);
+    /** NOP/HALT/plain JAL complete at dispatch and skip the RS. */
+    static bool needsReservationStation(const DynInst &d);
     unsigned execLatency(const Instruction &si) const;
-    bool operandsReady(const DynInst &d) const;
     uint64_t readOperand(PhysReg reg) const;
 };
 

@@ -38,7 +38,7 @@ Core::memStage()
             break;
         if (!st->addr_known || st->completed || st->squashed)
             continue;
-        if (!engine_->mayAccessMemory(*st)) {
+        if (!memGateOpen(*st)) {
             noteTransmitterDelay(*st, DelayKind::kMemAccess);
             break; // stores translate in order
         }
@@ -60,7 +60,7 @@ Core::memStage()
         if (!ld->addr_known || ld->access_done || ld->squashed ||
             ld->mem_violation_pending)
             continue;
-        if (!engine_->mayAccessMemory(*ld)) {
+        if (!memGateOpen(*ld)) {
             noteTransmitterDelay(*ld, DelayKind::kMemAccess);
             continue;
         }
@@ -161,7 +161,7 @@ Core::tryLoadAccess(const DynInstPtr &ld)
         observer_->gateOpened(cycle_, *ld, DelayKind::kMemAccess);
         observer_->memAccess(cycle_, *ld);
     }
-    completion_events_.emplace(cycle_ + latency, ld);
+    scheduleCompletion(cycle_ + latency, ld);
     return true;
 }
 
@@ -186,7 +186,9 @@ Core::completeLoadData(const DynInstPtr &ld)
 
     engine_->onLoadData(*ld, ld->forwarded, ld->forwarding_store);
 
-    prf_.write(ld->prd, ld->result);
+    // A load into x0 has no destination register to write.
+    if (ld->has_dest)
+        writeReg(ld->prd, ld->result);
     ld->executed = true;
     ld->completed = true;
     if (observer_)

@@ -42,6 +42,10 @@ Core::commitStage()
             lq_.erase(lq_.begin());
         }
         if (d->is_ctrl) {
+            SPT_ASSERT(cp_head_ < cp_tail_ &&
+                           checkpointAt(cp_head_).seq == d->seq,
+                       "control commit out of checkpoint order");
+            ++cp_head_;
             bpu_.commitUpdate(d->pc, d->si, d->exec.is_taken,
                               d->exec.target);
         }
@@ -55,6 +59,8 @@ Core::commitStage()
             observer_->retired(cycle_, *d);
         rob_.pop_front();
         ++retired_;
+        // A retired root no longer taints (STT); SPT frees its slot.
+        noteGateInputsChanged();
 
         if (d->si.op == Opcode::kHalt) {
             halted_ = true;
@@ -105,7 +111,7 @@ Core::performControlSquash(const DynInstPtr &branch)
     if (observer_)
         observer_->gateOpened(cycle_, *branch,
                               DelayKind::kBranchResolve);
-    squashFrom(branch->seq + 1, branch->actual_next_pc, branch);
+    squashFrom(branch->seq + 1, branch->actual_next_pc, branch.get());
     // The younger candidates went with the squash; the branch is now
     // the youngest one and leaves with its cleared flag.
     SPT_ASSERT(!squash_candidates_.empty() &&
@@ -130,35 +136,28 @@ Core::performMemSquash(const DynInstPtr &load)
 
 void
 Core::squashFrom(SeqNum first_squashed, uint64_t new_fetch_pc,
-                 const DynInstPtr &resolved_branch)
+                 const DynInst *resolved_branch)
 {
-    // If no explicit control checkpoint drives the recovery (memory
-    // violation), restore the oldest squashed control instruction's
-    // pre-prediction state.
-    const DynInstPtr *restore_from = nullptr;
-    if (resolved_branch) {
-        restore_from = &resolved_branch;
-    } else {
-        for (const DynInstPtr &d : rob_) {
-            if (d->seq >= first_squashed && d->has_checkpoint) {
-                restore_from = &d;
-                break;
-            }
-        }
-        if (!restore_from) {
-            // The oldest squashed control instruction may still be
-            // in the fetch queue (predicted but not yet renamed).
-            for (const FetchEntry &fe : fetch_queue_) {
-                if (fe.inst->seq >= first_squashed &&
-                    fe.inst->has_checkpoint) {
-                    restore_from = &fe.inst;
-                    break;
-                }
-            }
-        }
+    // Pop the squashed control instructions' checkpoints off the ring
+    // tail (they may sit in the ROB or, predicted but not yet renamed,
+    // in the fetch queue). If no resolved branch drives the recovery
+    // (memory violation, halt drain), the oldest of them holds the
+    // pre-prediction state to restore.
+    const BranchPredictorUnit::Checkpoint *restore = nullptr;
+    while (cp_tail_ > cp_head_ &&
+           checkpointAt(cp_tail_ - 1).seq >= first_squashed) {
+        --cp_tail_;
+        restore = &checkpointAt(cp_tail_).cp;
     }
-    if (restore_from)
-        bpu_.restore((*restore_from)->checkpoint);
+    if (resolved_branch) {
+        SPT_ASSERT(cp_tail_ > cp_head_ &&
+                       checkpointAt(cp_tail_ - 1).seq ==
+                           resolved_branch->seq,
+                   "resolved branch missing from the checkpoint ring");
+        restore = &checkpointAt(cp_tail_ - 1).cp;
+    }
+    if (restore)
+        bpu_.restore(*restore);
 
     // Walk the ROB from the tail, undoing rename mappings.
     while (!rob_.empty() && rob_.back()->seq >= first_squashed) {
@@ -170,18 +169,21 @@ Core::squashFrom(SeqNum first_squashed, uint64_t new_fetch_pc,
         if (d->has_dest) {
             rat_.set(d->si.rd, d->prev_prd);
             prf_.free(d->prd);
+            // Its waiters are younger, hence squashed too.
+            waiters_[d->prd].clear();
         }
         if (d->is_store)
             store_sets_.storeRemoved(d->pc, d->seq);
+        if (!d->issued && needsReservationStation(*d))
+            --rs_count_;
         rob_.pop_back();
         stats_.inc("squash.instructions");
     }
     while (!squash_candidates_.empty() &&
            squash_candidates_.back()->seq >= first_squashed)
         squash_candidates_.pop_back();
-    std::erase_if(rs_, [first_squashed](const DynInstPtr &d) {
-        return d->seq >= first_squashed;
-    });
+    while (!ready_.empty() && ready_.back()->seq >= first_squashed)
+        ready_.pop_back();
     std::erase_if(lq_, [first_squashed](const DynInstPtr &d) {
         return d->seq >= first_squashed;
     });
@@ -198,6 +200,7 @@ Core::squashFrom(SeqNum first_squashed, uint64_t new_fetch_pc,
 
     fetch_pc_ = new_fetch_pc;
     fetch_stall_until_ = cycle_ + params_.redirect_penalty;
+    noteGateInputsChanged();
 }
 
 // --------------------------------------------------------------------
@@ -211,6 +214,7 @@ Core::updateVp()
     for (const DynInstPtr &d : rob_) {
         if (!blocked && !d->at_vp) {
             d->at_vp = true;
+            noteGateInputsChanged();
             if (observer_)
                 observer_->reachedVp(cycle_, *d);
         }

@@ -165,6 +165,7 @@ InvariantChecker::violation(const char *kind, std::string message,
     }
     rep.rob = robDump(core_);
     rep.events = eventLines();
+    core_.publishDelayStats();
     rep.engine_counters = core_.engine().stats().counters();
     reports_.push_back(std::move(rep));
 }
@@ -309,6 +310,19 @@ InvariantChecker::checkStructure(uint64_t cycle)
                           cycle, d.get());
                 break;
             }
+        }
+        // The memo is trusted only while its epoch is current: ask
+        // the gate again and compare.
+        for (const DynInstPtr &d : q) {
+            if (d->gate_epoch != core_.gateEpoch() ||
+                core_.engine().mayAccessMemory(*d) == d->gate_open)
+                continue;
+            std::ostringstream os;
+            os << name << " entry seq " << d->seq
+               << " memoised mayAccessMemory=" << d->gate_open
+               << " at the current gate epoch, but the gate now says "
+               << !d->gate_open;
+            violation("gate-memo", os.str(), cycle, d.get());
         }
     };
     checkQueue(core_.loadQueue(), p.lq_size, "LQ");

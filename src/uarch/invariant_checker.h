@@ -18,10 +18,16 @@
  *    seq-sorted, LQ/SQ within capacity and subsets of the ROB,
  *    engine taint slots resolve to their owning instruction
  *    (SecurityEngine::taintStateConsistent), and the broadcast
- *    queue is bounded by 3 flags per ROB entry.
+ *    queue is bounded by 3 flags per ROB entry;
+ *  - gate memo, every cycle: each LQ/SQ entry whose memoised
+ *    mayAccessMemory verdict is current (DynInst::gate_epoch equals
+ *    Core::gateEpoch) gets the same verdict when the gate is asked
+ *    again — the core's epoch bumps cover every gate input change.
  *
  * On violation the checker records a structured DiagnosticReport
- * (machine dump + the last 64 pipeline events) instead of aborting;
+ * (machine dump, the engine counters including the core's delay.*
+ * totals so far, and the last 64 pipeline events) instead of
+ * aborting;
  * the run continues so a campaign can count every violation, and
  * sweeps classify the outcome afterwards (RunStatus::kViolation).
  *

@@ -51,9 +51,10 @@ TEST(Tage, LearnsLongPattern)
     const bool pattern[7] = {true, true, false, true,
                              false, false, true};
     int correct = 0;
+    BpCheckpoint cp;
     for (int i = 0; i < 2100; ++i) {
         const bool taken = pattern[i % 7];
-        const auto cp = tage.checkpoint();
+        tage.checkpoint(cp);
         const bool pred = tage.predict(pc);
         if (pred != taken) {
             tage.restore(cp);
@@ -73,12 +74,21 @@ TEST(Tage, CheckpointRoundTrip)
         tage.predict(i);
         tage.update(i, i % 3 == 0);
     }
-    const BpCheckpoint cp = tage.checkpoint();
+    BpCheckpoint cp;
+    tage.checkpoint(cp);
     // Wrong-path predictions...
     for (int i = 0; i < 20; ++i)
         tage.predict(1000 + i);
     tage.restore(cp);
-    EXPECT_EQ(tage.checkpoint().words, cp.words);
+    BpCheckpoint again;
+    tage.checkpoint(again);
+    EXPECT_EQ(again.words, cp.words);
+    // Refilling a used checkpoint reuses its storage.
+    const uint64_t *storage = again.words.data();
+    tage.predict(7);
+    tage.checkpoint(again);
+    EXPECT_EQ(again.words.data(), storage);
+    EXPECT_NE(again.words, cp.words);
 }
 
 TEST(LoopPredictor, LearnsTripCount)
@@ -185,16 +195,17 @@ TEST(Bpu, RestoreAndRepairAfterMispredict)
 {
     BranchPredictorUnit bpu;
     const Instruction br{Opcode::kBeq, 0, 1, 2, 8};
-    const auto cp = bpu.checkpoint();
+    BranchPredictorUnit::Checkpoint cp;
+    bpu.checkpoint(cp);
     bpu.predict(30, br); // speculative history advanced
     // Mispredict: restore pre-prediction state, replay actual.
     bpu.restore(cp);
     bpu.repair(30, br, true);
     // A call on the wrong path must not survive the restore.
     const Instruction call{Opcode::kJal, kRegRa, 0, 0, 5};
-    const auto cp2 = bpu.checkpoint();
+    bpu.checkpoint(cp);
     bpu.predict(40, call);
-    bpu.restore(cp2);
+    bpu.restore(cp);
     const Instruction ret{Opcode::kJalr, kRegZero, kRegRa, 0, 0};
     auto p = bpu.predict(99, ret);
     EXPECT_EQ(p.next_pc, 100u); // empty RAS: fall through

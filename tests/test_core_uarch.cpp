@@ -3,14 +3,18 @@
  * Out-of-order core tests: recovery from control mispredictions,
  * store-to-load forwarding correctness, memory-order violations and
  * store-set learning, resource accounting (no physical-register
- * leaks), and architectural-state correctness after drain.
+ * leaks), the wakeup-driven issue scheduler, loads into x0, and
+ * architectural-state correctness after drain.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/engine_factory.h"
 #include "isa/assembler.h"
 #include "isa/functional_cpu.h"
+#include "sim/simulator.h"
 #include "uarch/core.h"
 #include "uarch/store_set.h"
 
@@ -310,6 +314,177 @@ base:
     EXPECT_TRUE(r.halted);
     expectMatchesReference(*core, p);
     EXPECT_GT(core->bpu().stats().get("bpu.ras_predictions"), 5u);
+}
+
+// --------------------------------------------------------------------
+// Issue scheduling: the ready list fed by register wakeups
+// --------------------------------------------------------------------
+
+/** Records the issue and execute cycles of every instruction, by
+ *  seq, and the pc of each seq. */
+class IssueRecorder : public PipelineObserver
+{
+  public:
+    void
+    issue(uint64_t cycle, const DynInst &d) override
+    {
+        issue_cycles[d.seq].push_back(cycle);
+        pc_of[d.seq] = d.pc;
+    }
+    void
+    executed(uint64_t cycle, const DynInst &d) override
+    {
+        executed_cycle[d.seq] = cycle;
+        pc_of[d.seq] = d.pc;
+    }
+    /** The seq of the only instruction at @p pc that issued. */
+    SeqNum
+    seqAt(uint64_t pc) const
+    {
+        SeqNum found = 0;
+        for (const auto &[seq, at] : pc_of)
+            if (at == pc && issue_cycles.count(seq)) {
+                EXPECT_EQ(found, 0u) << "pc " << pc << " issued twice";
+                found = seq;
+            }
+        EXPECT_NE(found, 0u) << "pc " << pc << " never issued";
+        return found;
+    }
+
+    std::map<SeqNum, std::vector<uint64_t>> issue_cycles;
+    std::map<SeqNum, uint64_t> executed_cycle;
+    std::map<SeqNum, uint64_t> pc_of;
+};
+
+TEST(CoreUarch, SharedSourceRegisterIssuesOnce)
+{
+    // Both sources of the add name the load's one physical register:
+    // the consumer waits on it once and issues exactly once.
+    const Program p = assemble(R"(
+    .data
+v:
+    .quad 21
+    .text
+    li   t0, 0x100000
+    ld   t1, 0(t0)
+    add  a7, t1, t1
+    halt
+)");
+    auto core = makeUnsafeCore(p);
+    IssueRecorder rec;
+    core->setObserver(&rec);
+    core->run(100'000);
+    ASSERT_TRUE(core->halted());
+    EXPECT_EQ(core->archReg(17), 42u);
+    for (const auto &[seq, cycles] : rec.issue_cycles)
+        EXPECT_EQ(cycles.size(), 1u) << "seq " << seq;
+    rec.seqAt(2);
+}
+
+TEST(CoreUarch, WokenConsumerIssuesInTheWritebackCycle)
+{
+    // Writeback runs before issue in a tick: a consumer whose last
+    // operand is written this cycle issues in the same cycle.
+    const Program p = assemble(R"(
+    li   t0, 5
+    mul  t1, t0, t0
+    addi a7, t1, 1
+    halt
+)");
+    auto core = makeUnsafeCore(p);
+    IssueRecorder rec;
+    core->setObserver(&rec);
+    core->run(100'000);
+    ASSERT_TRUE(core->halted());
+    EXPECT_EQ(core->archReg(17), 26u);
+    const SeqNum mul = rec.seqAt(1);
+    const SeqNum addi = rec.seqAt(2);
+    ASSERT_EQ(rec.issue_cycles[addi].size(), 1u);
+    EXPECT_EQ(rec.issue_cycles[addi][0], rec.executed_cycle[mul]);
+}
+
+TEST(CoreUarch, ReadyEntriesPastIssueWidthIssueOldestFirst)
+{
+    // Five consumers of one multiply wake in the same cycle; with
+    // two issue slots the oldest two issue at once, the next two a
+    // cycle later and the last one a cycle after that.
+    const Program p = assemble(R"(
+    li   t0, 3
+    mul  t1, t0, t0
+    addi a0, t1, 1
+    addi a1, t1, 2
+    addi a2, t1, 3
+    addi a3, t1, 4
+    addi a4, t1, 5
+    halt
+)");
+    CoreParams cp;
+    cp.issue_width = 2;
+    auto core = makeUnsafeCore(p, cp);
+    IssueRecorder rec;
+    core->setObserver(&rec);
+    core->run(100'000);
+    ASSERT_TRUE(core->halted());
+    const uint64_t woken = rec.executed_cycle[rec.seqAt(1)];
+    const uint64_t expected[5] = {woken, woken, woken + 1, woken + 1,
+                                  woken + 2};
+    for (unsigned i = 0; i < 5; ++i) {
+        const SeqNum s = rec.seqAt(2 + i);
+        ASSERT_EQ(rec.issue_cycles[s].size(), 1u);
+        EXPECT_EQ(rec.issue_cycles[s][0], expected[i]) << "addi a" << i;
+    }
+    expectMatchesReference(*core, p);
+}
+
+// --------------------------------------------------------------------
+// Loads into x0
+// --------------------------------------------------------------------
+
+TEST(CoreUarch, LoadsIntoX0MatchReferenceUnderEveryConfig)
+{
+    // An x0 load has no destination register: it must leave every
+    // register alone, whether its data comes from memory, through a
+    // loaded pointer, or by store-to-load forwarding.
+    const Program p = assemble(R"(
+    .data
+vals:
+    .quad 0x100010
+    .quad 0
+    .quad 5
+    .quad 11
+    .text
+    li   t0, 0x100000
+    li   s0, 20
+loop:
+    ld   zero, 0(t0)
+    ld   t1, 0(t0)
+    ld   zero, 0(t1)
+    sd   s0, 24(t0)
+    ld   zero, 24(t0)
+    ld   t2, 24(t0)
+    add  a7, a7, t2
+    addi s0, s0, -1
+    bnez s0, loop
+    halt
+)");
+    FunctionalCpu cpu(p);
+    ASSERT_TRUE(cpu.run(1'000'000).halted);
+    for (const NamedConfig &nc : table2Configs()) {
+        for (AttackModel model :
+             {AttackModel::kSpectre, AttackModel::kFuturistic}) {
+            SCOPED_TRACE(nc.name);
+            SimConfig cfg;
+            cfg.engine = nc.engine;
+            cfg.core.attack_model = model;
+            cfg.lockstep_check = true;
+            cfg.max_cycles = 1'000'000;
+            Simulator sim(p, cfg);
+            ASSERT_TRUE(sim.run().halted);
+            for (unsigned r = 0; r < kNumArchRegs; ++r)
+                EXPECT_EQ(sim.core().archReg(r), cpu.reg(r))
+                    << "x" << r;
+        }
+    }
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "isa/assembler.h"
 #include "sim/chaos.h"
 #include "sim/exp_runner.h"
 #include "sim/fault_injector.h"
@@ -210,11 +211,91 @@ TEST(InvariantChecker, DetectsSeededLeakyMemGate)
     EXPECT_NE(out[0].diagnostics_json.find("tainted-transmitter"),
               std::string::npos)
         << out[0].diagnostics_json;
+    // The report's engine counters include the delay totals so far,
+    // although the violation fired mid-run.
+    EXPECT_NE(out[0].diagnostics_json.find("\"delay.mem_cycles\""),
+              std::string::npos)
+        << out[0].diagnostics_json;
     // The leaky gate actually opened: the bug manifested, the
     // checker did not fire vacuously.
     EXPECT_GT(out[0].counter("mutation.leaky_gate_opens"), 0u);
     // Timing bug only: the run still computes the right answer.
     EXPECT_TRUE(out[0].result.halted);
+}
+
+// --------------------------------------------------------------------
+// The memory-gate memo is checked, not trusted
+// --------------------------------------------------------------------
+
+/** Opens memory on a flag the test flips without telling the core,
+ *  so a memoised verdict can go stale. */
+class FlagGateEngine : public SecurityEngine
+{
+  public:
+    const char *name() const override { return "flag-gate"; }
+    bool mayAccessMemory(const DynInst &) const override
+    {
+        return open;
+    }
+    bool open = false;
+};
+
+struct FlagGateRun {
+    std::unique_ptr<Core> core;
+    std::unique_ptr<InvariantChecker> checker;
+};
+
+/** Blocks a load at the flag gate, opens the gate (announcing the
+ *  change to the core or not) and runs on with the checker on. */
+void
+runFlagGate(bool announce_change, FlagGateRun &run)
+{
+    const Program p = assemble(R"(
+    li   t0, 0x100000
+    ld   a7, 0(t0)
+    halt
+)");
+    auto engine = std::make_unique<FlagGateEngine>();
+    FlagGateEngine *gate = engine.get();
+    CoreParams cp;
+    cp.attack_model = AttackModel::kFuturistic;
+    run.core = std::make_unique<Core>(p, cp, MemorySystemParams{},
+                                      std::move(engine));
+    Core &core = *run.core;
+    run.checker = std::make_unique<InvariantChecker>(core);
+    core.setObserver(run.checker.get());
+    // The load reaches the gate and blocks; the machine then stalls
+    // with a frozen gate epoch.
+    for (int c = 0; c < 200; ++c)
+        core.tick();
+    ASSERT_EQ(core.loadQueue().size(), 1u);
+    ASSERT_EQ(core.loadQueue()[0]->gate_epoch, core.gateEpoch());
+    ASSERT_FALSE(core.loadQueue()[0]->gate_open);
+    gate->open = true;
+    if (announce_change)
+        core.noteGateInputsChanged();
+    core.run(10'000);
+}
+
+TEST(InvariantChecker, DetectsStaleGateMemo)
+{
+    FlagGateRun run;
+    runFlagGate(false, run);
+    ASSERT_TRUE(run.checker);
+    EXPECT_GT(run.checker->violations(), 0u);
+    ASSERT_FALSE(run.checker->reports().empty());
+    EXPECT_EQ(run.checker->reports()[0].kind, "gate-memo");
+    // The stale memo kept the load blocked.
+    EXPECT_FALSE(run.core->halted());
+}
+
+TEST(InvariantChecker, AnnouncedGateChangeKeepsMemoCurrent)
+{
+    FlagGateRun run;
+    runFlagGate(true, run);
+    ASSERT_TRUE(run.checker);
+    EXPECT_EQ(run.checker->violations(), 0u);
+    EXPECT_TRUE(run.core->halted());
 }
 
 // --------------------------------------------------------------------

@@ -357,5 +357,49 @@ loop:
     EXPECT_LE(r2.core->cycle(), r1.core->cycle());
 }
 
+TEST(SptEngine, LoadIntoX0ClearsNoShadowTaint)
+{
+    // A load into x0 never exposes the bytes it reads, so the Section
+    // 6.8 load rule must not clear their shadow taint: adding one
+    // leaves the load clears, and the shadow-data untaints they
+    // would enable, as they were.
+    const char *without = R"(
+    .data
+vals:
+    .quad 0x100010
+    .quad 0
+    .quad 7
+    .text
+    li   t0, 0x100000
+    ld   t1, 0(t0)      # pointer: declassified when t2's load is at VP
+    ld   t2, 0(t1)
+    ld   t3, 16(t0)
+    add  a7, t2, t3
+    halt
+)";
+    const std::string with = [&] {
+        std::string s = without;
+        const std::string at = "    ld   t3, 16(t0)";
+        s.insert(s.find(at), "    ld   zero, 16(t0)\n");
+        return s;
+    }();
+    SptConfig cfg;
+    cfg.method = UntaintMethod::kBackward;
+    cfg.shadow = ShadowKind::kShadowL1;
+    auto counters = [&](const std::string &src) {
+        Rig rig = makeRig(assemble(src), cfg);
+        rig.core->run(100'000);
+        EXPECT_TRUE(rig.core->halted());
+        const StatSet &s = rig.core->engine().stats();
+        return std::pair{s.get("shadow.load_clears"),
+                         s.get("untaint.shadow_data")};
+    };
+    const auto base = counters(without);
+    const auto x0 = counters(with);
+    EXPECT_GT(base.first, 0u); // the load rule does fire here
+    EXPECT_EQ(x0.first, base.first);
+    EXPECT_EQ(x0.second, base.second);
+}
+
 } // namespace
 } // namespace spt

@@ -24,14 +24,6 @@ LtagePredictor::update(uint64_t pc, bool taken)
 {
     // Train the use-loop arbiter on branches where the two disagree.
     const bool loop_confident = loop_.confident(pc);
-    if (loop_confident) {
-        // Reconstruct the loop prediction from architectural state:
-        // the entry predicts "taken" while arch_count < trip_count.
-        // We approximate by asking whether this outcome matched the
-        // learned trip pattern after update() below; simpler: train
-        // toward the loop predictor whenever it is confident and the
-        // outcome continues the learned pattern.
-    }
     loop_.update(pc, taken);
     tage_.update(pc, taken);
     // Arbiter training: a confident loop entry that survives update

@@ -80,6 +80,7 @@ SptEngine::attach(Core &core)
     entries_.assign(cap, Entry{});
     idx_mask_ = cap - 1;
     head_ = tail_ = vp_cursor_ = 0;
+    shadow_rescan_ = false;
     local_queue_.clear();
     pending_flags_.assign(cap);
     reg_slots_.assign(core.physRegs().numRegs(), {});
@@ -147,6 +148,8 @@ SptEngine::instTaint(SeqNum seq) const
 void
 SptEngine::markLocalDirty(Entry &e)
 {
+    // Every mask change comes through here, a load's output included.
+    shadow_rescan_ = true;
     if (cfg_.method == UntaintMethod::kNone)
         return; // the local-rules phase never runs
     if (e.in_local_queue)
@@ -402,6 +405,7 @@ SptEngine::onLoadData(DynInst &d, bool forwarded, SeqNum)
         // untaints (shadowClearPhase).
         e->shadow_candidate = true;
         shadow_candidates_.set(d.taint_idx);
+        shadow_rescan_ = true;
     }
 }
 
@@ -657,6 +661,7 @@ SptEngine::declassifyPhase()
         if (!e.inst->at_vp)
             break;
         ++vp_cursor_;
+        shadow_rescan_ = true;
         if (e.it.declassified)
             continue;
         e.it.declassified = true;
@@ -804,6 +809,9 @@ SptEngine::shadowClearPhase()
 {
     if (cfg_.shadow == ShadowKind::kNone)
         return; // no taint-tracking structure to update
+    if (!shadow_rescan_)
+        return; // no candidate input changed since the last scan
+    shadow_rescan_ = false;
     if (shadow_candidates_.empty())
         return; // no load that could still clear anything
 
@@ -883,6 +891,8 @@ SptEngine::broadcastPhase()
         // pending and drain on a later cycle.
         width = 0;
     }
+    if (pending_flags_.empty())
+        return; // nothing raised: the bus idles
     // Drain raised flags in arbitration order (a head-to-tail bitmap
     // scan: older instruction first, destination before sources) up
     // to the structural width.

@@ -46,7 +46,10 @@
  *    drains it instead of rescanning the ROB. `vp_cursor_` tracks
  *    the ROB prefix already declassified (at_vp spreads as a
  *    contiguous, monotone prefix), so declassification visits each
- *    instruction exactly once.
+ *    instruction exactly once. The broadcast phase returns at once
+ *    when no flag is raised, and the shadow-clear phase rescans its
+ *    candidates only after one of their inputs changed
+ *    (`shadow_rescan_`).
  */
 
 #ifndef SPT_CORE_SPT_ENGINE_H
@@ -226,6 +229,11 @@ class SptEngine : public SecurityEngine
      *  word-level skips instead of walking the core's LSQ. */
     RingBitmap stl_candidates_;
     RingBitmap shadow_candidates_;
+    /** A shadow-clear candidate's inputs may have changed since the
+     *  last scan: a local mask changed (markLocalDirty), the VP cursor
+     *  advanced (at_vp), or a candidate joined. A scan that finds
+     *  nothing to fire finds nothing again until one of these. */
+    bool shadow_rescan_ = false;
 
     // Scratch for the per-cycle broadcast phase, kept as a member so
     // the phase allocates nothing once it has reached full width.

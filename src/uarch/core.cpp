@@ -25,7 +25,9 @@ Core::Core(Program program, const CoreParams &params,
            std::unique_ptr<SecurityEngine> engine)
     : program_(std::move(program)), params_(params),
       memsys_(mem_params), engine_(std::move(engine)),
-      prf_(params.num_phys_regs), fetch_pc_(program_.entry())
+      prf_(params.num_phys_regs), fetch_pc_(program_.entry()),
+      fetch_queue_(params.fetch_queue_size + params.fetch_width),
+      rob_(params.rob_size), lq_(params.lq_size), sq_(params.sq_size)
 {
     SPT_ASSERT(engine_ != nullptr, "core needs a security engine");
     program_.loadInto(mem_);
@@ -33,6 +35,7 @@ Core::Core(Program program, const CoreParams &params,
     // initial RAT maps xN -> phys N, so write phys kRegSp directly.
     prf_.write(kRegSp, kDefaultStackTop);
     waiters_.resize(params_.num_phys_regs);
+    waiting_loads_.reserve(params_.lq_size);
     // Every in-flight control instruction holds a checkpoint: at most
     // the ROB plus a full fetch queue plus one fetch group.
     uint64_t cap = 1;
@@ -69,6 +72,16 @@ Core::findInst(SeqNum seq) const
         [](const DynInstPtr &d, SeqNum s) { return d->seq < s; });
     return it != rob_.end() && (*it)->seq == seq ? it->get()
                                                   : nullptr;
+}
+
+void
+Core::addWaitingLoad(const DynInstPtr &ld)
+{
+    // AGU completion is out of order: insert at the seq position.
+    const auto pos = std::upper_bound(
+        waiting_loads_.begin(), waiting_loads_.end(), ld->seq,
+        [](SeqNum s, const DynInstPtr &w) { return s < w->seq; });
+    waiting_loads_.insert(pos, ld);
 }
 
 void
@@ -116,18 +129,6 @@ Core::scheduleCompletion(uint64_t cycle, const DynInstPtr &d)
                    laterEvent<CompletionEvent>);
 }
 
-bool
-Core::memGateOpen(DynInst &d) const
-{
-    if (!memo_gates_)
-        return engine_->mayAccessMemory(d);
-    if (d.gate_epoch != gate_epoch_) {
-        d.gate_open = engine_->mayAccessMemory(d);
-        d.gate_epoch = gate_epoch_;
-    }
-    return d.gate_open;
-}
-
 unsigned
 Core::execLatency(const Instruction &si) const
 {
@@ -164,19 +165,6 @@ Core::tick()
     engine_->tick();
     if (observer_)
         observer_->cycleEnd(cycle_);
-}
-
-void
-Core::noteTransmitterDelay(const DynInst &d, DelayKind kind)
-{
-    switch (kind) {
-      case DelayKind::kMemAccess: ++delay_mem_cycles_; break;
-      case DelayKind::kBranchResolve: ++delay_branch_cycles_; break;
-      case DelayKind::kMemOrderSquash: ++delay_memorder_cycles_; break;
-    }
-    if (observer_)
-        observer_->delayCycle(cycle_, d, kind,
-                              engine_->delayCause(d, kind));
 }
 
 Core::RunResult
@@ -280,19 +268,19 @@ Core::quiescentCycle() const
             engine_->maySquashMemViolation(*d))
             return false;
     }
-    for (const DynInstPtr &st : sq_) {
-        if (!st->addr_known || st->completed || st->squashed)
-            continue;
-        if (memGateOpen(*st))
-            return false;
-        break; // stores translate in order: only the first matters
-    }
-    for (const DynInstPtr &ld : lq_) {
-        if (!ld->addr_known || ld->access_done || ld->squashed ||
-            ld->mem_violation_pending)
-            continue;
-        if (memGateOpen(*ld))
-            return false;
+    // A frozen memStage has found every memory gate closed, and
+    // nothing it read has changed since.
+    if (mem_frozen_epoch_ != gate_epoch_) {
+        for (const DynInstPtr &st : sq_) {
+            if (!st->addr_known || st->completed || st->squashed)
+                continue;
+            if (memGateOpen(*st))
+                return false;
+            break; // stores translate in order: only the first matters
+        }
+        for (const DynInstPtr &ld : waiting_loads_)
+            if (memGateOpen(*ld))
+                return false;
     }
     return engine_->quiescent();
 }
@@ -315,12 +303,7 @@ Core::accrueSkippedCycles(uint64_t k)
         delay_mem_cycles_ += k;
         break;
     }
-    for (const DynInstPtr &ld : lq_) {
-        if (!ld->addr_known || ld->access_done || ld->squashed ||
-            ld->mem_violation_pending)
-            continue;
-        delay_mem_cycles_ += k;
-    }
+    delay_mem_cycles_ += k * waiting_loads_.size();
     if (!fetch_queue_.empty()) {
         const FetchEntry &fe = fetch_queue_.front();
         if (fe.ready_cycle <= cycle_)
@@ -593,8 +576,13 @@ Core::completeInst(const DynInstPtr &d)
     if (d->isMem() && !d->addr_known) {
         // AGU completion: the virtual address (and store data) is now
         // known to the LSQ, before any memory access is performed.
+        // The instruction joins the LSQ's waiting set, so a frozen
+        // memStage must walk again.
         d->addr_known = true;
         d->eff_addr = d->exec.mem_addr;
+        mem_frozen_epoch_ = 0;
+        if (d->is_load)
+            addWaitingLoad(d);
         if (d->is_store) {
             d->store_data = d->exec.value;
             d->executed = true;

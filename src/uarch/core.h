@@ -14,14 +14,15 @@
  *    maySquashMemViolation(),
  *  - predictor training happens only at commit.
  *
- * The ROB computes per-cycle visibility-point (VP) flags under the
- * configured attack model; engines build declassification on top.
+ * The core marks the ROB's visibility-point (VP) prefix under the
+ * configured attack model, resuming each cycle at a cursor where the
+ * prefix stopped; engines build declassification on top.
  */
 
 #ifndef SPT_UARCH_CORE_H
 #define SPT_UARCH_CORE_H
 
-#include <deque>
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "bp/bpu.h"
 #include "common/byte_memory.h"
 #include "common/fault_hooks.h"
+#include "common/ring.h"
 #include "common/stats.h"
 #include "isa/program.h"
 #include "mem/memory_system.h"
@@ -109,9 +111,36 @@ class Core
     uint64_t archReg(unsigned arch) const;
 
     // --- engine/test access ------------------------------------------
-    const std::deque<DynInstPtr> &rob() const { return rob_; }
-    const std::vector<DynInstPtr> &loadQueue() const { return lq_; }
-    const std::vector<DynInstPtr> &storeQueue() const { return sq_; }
+    const Ring<DynInstPtr> &rob() const { return rob_; }
+    const Ring<DynInstPtr> &loadQueue() const { return lq_; }
+    const Ring<DynInstPtr> &storeQueue() const { return sq_; }
+    /** The LQ entries whose address is known and whose access has not
+     *  started, in seq order: the loads memStage gates. */
+    const std::vector<DynInstPtr> &waitingLoads() const
+    {
+        return waiting_loads_;
+    }
+
+    /** Does @p d hold every younger instruction past the VP under the
+     *  configured attack model? The VP prefix of the ROB runs up to
+     *  and including its first such instruction. */
+    bool
+    blocksVp(const DynInst &d) const
+    {
+        if (params_.attack_model == AttackModel::kSpectre) {
+            // Control-flow speculation, augmented with data
+            // speculation sources (unresolved store addresses and
+            // pending violations) so the VP stays sound under
+            // memory-dependence speculation (paper Section 8).
+            return (d.is_squash_source &&
+                    (!d.executed || d.squash_pending)) ||
+                   (d.is_store && !d.addr_known) ||
+                   d.mem_violation_pending;
+        }
+        // Futuristic: non-squashable.
+        return !d.completed || d.squash_pending ||
+               d.mem_violation_pending;
+    }
 
     /** Finds an in-flight (non-squashed) instruction by seq:
      *  a binary search over the seq-ordered ROB; nullptr if absent.
@@ -173,7 +202,7 @@ class Core
   private:
     struct FetchEntry {
         DynInstPtr inst;
-        uint64_t ready_cycle;
+        uint64_t ready_cycle = 0;
     };
     /** Pre-prediction predictor state of one in-flight control
      *  instruction. */
@@ -218,7 +247,8 @@ class Core
     // Frontend.
     uint64_t fetch_pc_;
     uint64_t fetch_stall_until_ = 0;
-    std::deque<FetchEntry> fetch_queue_;
+    /** Sized for a fetch group started one short of full. */
+    Ring<FetchEntry> fetch_queue_;
     /** Checkpoints of the in-flight control instructions in fetch
      *  (= seq) order, a power-of-two ring over logical positions
      *  [cp_head_, cp_tail_): pushed at fetch, popped at the head when
@@ -230,7 +260,16 @@ class Core
     uint64_t cp_tail_ = 0;
 
     // Backend structures.
-    std::deque<DynInstPtr> rob_;
+    Ring<DynInstPtr> rob_;
+    /** VP cursor: ROB index (from the head) of the first instruction
+     *  that has not reached the VP or blocks it (blocksVp). Every
+     *  instruction before it is at_vp and no blocker, and stays so.
+     *  Each blocking condition but one holds from rename until it
+     *  clears for good; the exception, a pending memory-order
+     *  violation, is raised only on a load younger than a store that
+     *  blocked the VP until that cycle. Commit and squash keep the
+     *  cursor within the ROB. */
+    std::size_t vp_cursor_ = 0;
     /** The ROB instructions with squash_pending or
      *  mem_violation_pending set, in seq order: the squash gates
      *  walk this instead of the ROB. An instruction joins where its
@@ -249,8 +288,12 @@ class Core
     /** Per physical register: the RS entries waiting for its value
      *  (squashed ones are skipped at wakeup). */
     std::vector<std::vector<DynInstPtr>> waiters_;
-    std::vector<DynInstPtr> lq_;
-    std::vector<DynInstPtr> sq_;
+    Ring<DynInstPtr> lq_;
+    Ring<DynInstPtr> sq_;
+    /** See waitingLoads(). A load joins where its address becomes
+     *  known (AGU completion is out of order, so at its seq position)
+     *  and leaves when its access starts or it is squashed. */
+    std::vector<DynInstPtr> waiting_loads_;
     /** Binary min-heap on (cycle, order). */
     std::vector<CompletionEvent> completions_;
     uint64_t completion_order_ = 0;
@@ -258,6 +301,15 @@ class Core
      *  gates are pure (fastForwardSafe). */
     uint64_t gate_epoch_ = 1;
     bool memo_gates_ = false;
+    /** Frozen memStage: the gate epoch of the last memStage walk that
+     *  opened no gate, and the delay cycles it charged (0 = none).
+     *  While the epoch is unchanged and no load or store has had its
+     *  address become known since, the walk would ask no gate and
+     *  charge the same, so memStage charges it without walking. Kept
+     *  only under fast-forward's safety conditions (no observer, no
+     *  fault injector, pure gates). */
+    uint64_t mem_frozen_epoch_ = 0;
+    uint64_t mem_frozen_charge_ = 0;
 
     CommitHook commit_hook_;
 
@@ -292,7 +344,18 @@ class Core
      *  reports the cycle with the engine's cause attribution. The
      *  single call site per gate is what makes the profiler's
      *  attributed total exactly equal delay.total_cycles. */
-    void noteTransmitterDelay(const DynInst &d, DelayKind kind);
+    void
+    noteTransmitterDelay(const DynInst &d, DelayKind kind)
+    {
+        switch (kind) {
+          case DelayKind::kMemAccess: ++delay_mem_cycles_; break;
+          case DelayKind::kBranchResolve: ++delay_branch_cycles_; break;
+          case DelayKind::kMemOrderSquash: ++delay_memorder_cycles_; break;
+        }
+        if (observer_)
+            observer_->delayCycle(cycle_, d, kind,
+                                  engine_->delayCause(d, kind));
+    }
     /** Inserts @p d, whose squash flag was just set, into
      *  squash_candidates_ at its seq position. */
     void addSquashCandidate(const DynInstPtr &d);
@@ -306,7 +369,20 @@ class Core
     }
     /** mayAccessMemory(@p d), memoised in @p d per gate epoch while
      *  the gates are pure. */
-    bool memGateOpen(DynInst &d) const;
+    bool
+    memGateOpen(DynInst &d) const
+    {
+        if (!memo_gates_)
+            return engine_->mayAccessMemory(d);
+        if (d.gate_epoch != gate_epoch_) {
+            d.gate_open = engine_->mayAccessMemory(d);
+            d.gate_epoch = gate_epoch_;
+        }
+        return d.gate_open;
+    }
+    /** Inserts @p ld, whose address just became known, into
+     *  waiting_loads_ at its seq position. */
+    void addWaitingLoad(const DynInstPtr &ld);
     void completeInst(const DynInstPtr &d);
     void completeLoadData(const DynInstPtr &d);
     bool tryLoadAccess(const DynInstPtr &d);

@@ -30,6 +30,16 @@ rangeCovers(uint64_t outer, unsigned outer_n, uint64_t inner,
 void
 Core::memStage()
 {
+    if (mem_frozen_epoch_ == gate_epoch_) {
+        // No gate input and no waiting entry changed since a walk that
+        // opened no gate: walking again would ask no gate (every
+        // verdict is memoised at this epoch) and charge the same.
+        delay_mem_cycles_ += mem_frozen_charge_;
+        return;
+    }
+    uint64_t charged = 0;
+    bool opened = false;
+
     // Stores: the policy-gated "execution" step (address translation
     // and everything the paper counts as the store's transmit).
     unsigned store_ports = params_.store_ports;
@@ -40,8 +50,10 @@ Core::memStage()
             continue;
         if (!memGateOpen(*st)) {
             noteTransmitterDelay(*st, DelayKind::kMemAccess);
+            ++charged;
             break; // stores translate in order
         }
+        opened = true;
         st->access_done = true;
         st->completed = true;
         --store_ports;
@@ -54,18 +66,29 @@ Core::memStage()
 
     // Loads, oldest first.
     unsigned load_ports = params_.load_ports;
-    for (const DynInstPtr &ld : lq_) {
+    for (std::size_t i = 0; i < waiting_loads_.size();) {
         if (load_ports == 0)
             break;
-        if (!ld->addr_known || ld->access_done || ld->squashed ||
-            ld->mem_violation_pending)
-            continue;
+        const DynInstPtr &ld = waiting_loads_[i];
         if (!memGateOpen(*ld)) {
             noteTransmitterDelay(*ld, DelayKind::kMemAccess);
+            ++charged;
+            ++i;
             continue;
         }
-        if (tryLoadAccess(ld))
+        opened = true;
+        if (tryLoadAccess(ld)) {
             --load_ports;
+            waiting_loads_.erase(waiting_loads_.begin() +
+                                 static_cast<std::ptrdiff_t>(i));
+        } else {
+            ++i;
+        }
+    }
+
+    if (!opened && memo_gates_ && !observer_ && !faults_) {
+        mem_frozen_epoch_ = gate_epoch_;
+        mem_frozen_charge_ = charged;
     }
 }
 
@@ -81,8 +104,8 @@ Core::tryLoadAccess(const DynInstPtr &ld)
     // execution has not happened yet — Section 6.7).
     DynInstPtr fwd;
     bool unknown_addr_seen = false;
-    for (auto it = sq_.rbegin(); it != sq_.rend(); ++it) {
-        const DynInstPtr &st = *it;
+    for (std::size_t i = sq_.size(); i-- > 0;) {
+        const DynInstPtr &st = sq_[i];
         if (st->seq > ld->seq || st->squashed)
             continue;
         if (!st->addr_known) {

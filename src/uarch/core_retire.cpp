@@ -34,12 +34,12 @@ Core::commitStage()
             store_sets_.storeRemoved(d->pc, d->seq);
             SPT_ASSERT(!sq_.empty() && sq_.front() == d,
                        "store commit out of order");
-            sq_.erase(sq_.begin());
+            sq_.pop_front();
         }
         if (d->is_load) {
             SPT_ASSERT(!lq_.empty() && lq_.front() == d,
                        "load commit out of order");
-            lq_.erase(lq_.begin());
+            lq_.pop_front();
         }
         if (d->is_ctrl) {
             SPT_ASSERT(cp_head_ < cp_tail_ &&
@@ -58,6 +58,8 @@ Core::commitStage()
         if (observer_)
             observer_->retired(cycle_, *d);
         rob_.pop_front();
+        if (vp_cursor_ > 0)
+            --vp_cursor_;
         ++retired_;
         // A retired root no longer taints (STT); SPT frees its slot.
         noteGateInputsChanged();
@@ -179,18 +181,21 @@ Core::squashFrom(SeqNum first_squashed, uint64_t new_fetch_pc,
         rob_.pop_back();
         stats_.inc("squash.instructions");
     }
+    vp_cursor_ = std::min(vp_cursor_, rob_.size());
     while (!squash_candidates_.empty() &&
            squash_candidates_.back()->seq >= first_squashed)
         squash_candidates_.pop_back();
     while (!ready_.empty() && ready_.back()->seq >= first_squashed)
         ready_.pop_back();
-    std::erase_if(lq_, [first_squashed](const DynInstPtr &d) {
-        return d->seq >= first_squashed;
-    });
-    std::erase_if(sq_, [first_squashed](const DynInstPtr &d) {
-        return d->seq >= first_squashed;
-    });
-    for (FetchEntry &fe : fetch_queue_) {
+    // The LSQ and its waiting loads are in seq order too.
+    while (!lq_.empty() && lq_.back()->seq >= first_squashed)
+        lq_.pop_back();
+    while (!sq_.empty() && sq_.back()->seq >= first_squashed)
+        sq_.pop_back();
+    while (!waiting_loads_.empty() &&
+           waiting_loads_.back()->seq >= first_squashed)
+        waiting_loads_.pop_back();
+    for (const FetchEntry &fe : fetch_queue_) {
         fe.inst->squashed = true;
         engine_->onSquash(*fe.inst);
         if (observer_)
@@ -210,33 +215,20 @@ Core::squashFrom(SeqNum first_squashed, uint64_t new_fetch_pc,
 void
 Core::updateVp()
 {
-    bool blocked = false;
-    for (const DynInstPtr &d : rob_) {
-        if (!blocked && !d->at_vp) {
-            d->at_vp = true;
+    // The VP prefix runs from the ROB head up to and including the
+    // first blocker. Everything before the cursor is in it for good,
+    // so the walk resumes at the cursor.
+    while (vp_cursor_ < rob_.size()) {
+        DynInst &d = *rob_[vp_cursor_];
+        if (!d.at_vp) {
+            d.at_vp = true;
             noteGateInputsChanged();
             if (observer_)
-                observer_->reachedVp(cycle_, *d);
+                observer_->reachedVp(cycle_, d);
         }
-        if (params_.attack_model == AttackModel::kSpectre) {
-            // Control-flow speculation, augmented with data
-            // speculation sources (unresolved store addresses and
-            // pending violations) so the VP stays sound under
-            // memory-dependence speculation (paper Section 8).
-            if (d->is_squash_source &&
-                (!d->executed || d->squash_pending))
-                blocked = true;
-            if (d->is_store && !d->addr_known)
-                blocked = true;
-            if (d->mem_violation_pending)
-                blocked = true;
-        } else { // Futuristic: non-squashable.
-            if (!d->completed || d->squash_pending ||
-                d->mem_violation_pending)
-                blocked = true;
-        }
-        if (blocked && !d->at_vp)
+        if (blocksVp(d))
             break;
+        ++vp_cursor_;
     }
 }
 

@@ -293,7 +293,7 @@ InvariantChecker::checkStructure(uint64_t cycle)
         return it != rob.end() && (*it)->seq == d->seq &&
                it->get() == d.get();
     };
-    const auto checkQueue = [&](const std::vector<DynInstPtr> &q,
+    const auto checkQueue = [&](const Ring<DynInstPtr> &q,
                                 unsigned cap, const char *name) {
         if (q.size() > cap)
             violation("lsq-overflow",
@@ -327,6 +327,8 @@ InvariantChecker::checkStructure(uint64_t cycle)
     };
     checkQueue(core_.loadQueue(), p.lq_size, "LQ");
     checkQueue(core_.storeQueue(), p.sq_size, "SQ");
+    checkVpPrefix(cycle);
+    checkWaitingLoads(cycle);
 
     const uint64_t occupancy =
         core_.engine().broadcastQueueOccupancy();
@@ -337,6 +339,59 @@ InvariantChecker::checkStructure(uint64_t cycle)
                       std::to_string(occupancy) +
                       " flags > bound " + std::to_string(bound),
                   cycle, nullptr);
+}
+
+void
+InvariantChecker::checkVpPrefix(uint64_t cycle)
+{
+    // The head-to-tail walk the VP cursor replaces: at_vp must hold
+    // up to and including the first VP blocker, and nowhere after it.
+    bool blocked = false;
+    for (const DynInstPtr &d : core_.rob()) {
+        if (d->at_vp == !blocked) {
+            blocked = blocked || core_.blocksVp(*d);
+            continue;
+        }
+        std::ostringstream os;
+        os << "seq " << d->seq << " has at_vp=" << d->at_vp
+           << ", but a head-to-tail VP walk under the "
+           << (core_.attackModel() == AttackModel::kSpectre
+                   ? "spectre"
+                   : "futuristic")
+           << " model gives " << !blocked;
+        violation("vp-prefix", os.str(), cycle, d.get());
+        return;
+    }
+}
+
+void
+InvariantChecker::checkWaitingLoads(uint64_t cycle)
+{
+    // The waiting list must be exactly the LQ entries memStage gates,
+    // in seq order.
+    const std::vector<DynInstPtr> &waiting = core_.waitingLoads();
+    std::size_t w = 0;
+    for (const DynInstPtr &ld : core_.loadQueue()) {
+        if (!ld->addr_known || ld->access_done)
+            continue;
+        if (w < waiting.size() && waiting[w] == ld) {
+            ++w;
+            continue;
+        }
+        violation("lq-waiting",
+                  "LQ entry seq " + std::to_string(ld->seq) +
+                      " has a known address and no access, but is not "
+                      "next on the waiting-load list",
+                  cycle, ld.get());
+        return;
+    }
+    if (w != waiting.size())
+        violation("lq-waiting",
+                  "waiting-load list entry seq " +
+                      std::to_string(waiting[w]->seq) +
+                      " is not an LQ entry with a known address and "
+                      "no access",
+                  cycle, waiting[w].get());
 }
 
 void

@@ -22,7 +22,14 @@
  *  - gate memo, every cycle: each LQ/SQ entry whose memoised
  *    mayAccessMemory verdict is current (DynInst::gate_epoch equals
  *    Core::gateEpoch) gets the same verdict when the gate is asked
- *    again — the core's epoch bumps cover every gate input change.
+ *    again — the core's epoch bumps cover every gate input change;
+ *  - VP prefix, every cycle: the ROB's at_vp flags are what a
+ *    head-to-tail walk gives under the run's attack model (set up to
+ *    and including the first Core::blocksVp instruction, clear after
+ *    it), which the core's VP cursor must reproduce;
+ *  - waiting loads, every cycle: Core::waitingLoads is exactly the
+ *    LQ entries with a known address and no access started, in seq
+ *    order.
  *
  * On violation the checker records a structured DiagnosticReport
  * (machine dump, the engine counters including the core's delay.*
@@ -134,6 +141,8 @@ class InvariantChecker : public PipelineObserver
     void checkTransmit(uint64_t cycle, const DynInst &d,
                        DelayKind kind, const char *what);
     void checkStructure(uint64_t cycle);
+    void checkVpPrefix(uint64_t cycle);
+    void checkWaitingLoads(uint64_t cycle);
     void violation(const char *kind, std::string message,
                    uint64_t cycle, const DynInst *d);
     std::vector<std::string> eventLines() const;

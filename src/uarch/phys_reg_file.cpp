@@ -5,7 +5,7 @@
 namespace spt {
 
 PhysRegFile::PhysRegFile(unsigned num_regs)
-    : values_(num_regs, 0), ready_(num_regs, 0)
+    : values_(num_regs, 0), ready_(num_regs, 0), free_list_(num_regs)
 {
     SPT_ASSERT(num_regs > kNumArchRegs + 1,
                "physical register file too small");

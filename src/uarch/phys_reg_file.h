@@ -8,9 +8,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
+#include "common/ring.h"
 #include "isa/instruction.h"
 #include "uarch/types.h"
 
@@ -49,7 +49,8 @@ class PhysRegFile
   private:
     std::vector<uint64_t> values_;
     std::vector<uint8_t> ready_;
-    std::deque<PhysReg> free_list_;
+    /** FIFO: the longest-free register is allocated first. */
+    Ring<PhysReg> free_list_;
 };
 
 } // namespace spt

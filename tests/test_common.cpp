@@ -1,11 +1,14 @@
 /**
  * @file
  * Unit tests for src/common: bit utilities, deterministic RNG,
- * statistics, the sparse byte memory, and leveled logging.
+ * statistics, the sparse byte memory, the fixed ring, and leveled
+ * logging.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -15,6 +18,7 @@
 #include "common/byte_memory.h"
 #include "common/json.h"
 #include "common/logging.h"
+#include "common/ring.h"
 #include "common/rng.h"
 #include "common/stats.h"
 
@@ -456,6 +460,120 @@ TEST(ByteMemory, BlockOps)
     m.readBlock(0x3000, out, 5);
     for (int i = 0; i < 5; ++i)
         EXPECT_EQ(out[i], data[i]);
+}
+
+// --------------------------------------------------------------------
+// Ring
+// --------------------------------------------------------------------
+
+TEST(Ring, CapacityRoundsUpToPowerOfTwo)
+{
+    EXPECT_EQ(Ring<int>(0).capacity(), 1u);
+    EXPECT_EQ(Ring<int>(1).capacity(), 1u);
+    EXPECT_EQ(Ring<int>(5).capacity(), 8u);
+    EXPECT_EQ(Ring<int>(192).capacity(), 256u);
+}
+
+TEST(Ring, WrapsAroundInFifoOrder)
+{
+    // Fill and drain the four slots at a different depth each lap,
+    // so head and tail cross the end of the array at every offset.
+    Ring<int> r(4);
+    int next_in = 0;
+    int next_out = 0;
+    for (int lap = 0; lap < 12; ++lap) {
+        while (r.size() < r.capacity())
+            r.push_back(next_in++);
+        EXPECT_EQ(r.front(), next_out);
+        EXPECT_EQ(r.back(), next_in - 1);
+        for (std::size_t i = 0; i < r.size(); ++i)
+            EXPECT_EQ(r[i], next_out + static_cast<int>(i));
+        for (int n = 0; n <= lap % 4; ++n) {
+            EXPECT_EQ(r.front(), next_out++);
+            r.pop_front();
+        }
+    }
+}
+
+TEST(Ring, PopsAtBothEnds)
+{
+    Ring<int> r(8);
+    for (int v = 0; v < 6; ++v)
+        r.push_back(v);
+    r.pop_front();
+    r.pop_front();
+    r.pop_back(); // 2 3 4
+    for (int v = 9; v <= 13; ++v)
+        r.push_back(v); // the tail wraps past slot 7
+    EXPECT_EQ(std::vector<int>(r.begin(), r.end()),
+              (std::vector<int>{2, 3, 4, 9, 10, 11, 12, 13}));
+    // A squash-style truncation pops the tail back across the wrap.
+    while (!r.empty() && r.back() >= 4)
+        r.pop_back();
+    EXPECT_EQ(std::vector<int>(r.begin(), r.end()),
+              (std::vector<int>{2, 3}));
+    r.pop_front();
+    r.pop_front();
+    EXPECT_TRUE(r.empty());
+    EXPECT_EQ(r.begin(), r.end());
+}
+
+TEST(Ring, PopReleasesTheSlot)
+{
+    const auto p = std::make_shared<int>(7);
+    Ring<std::shared_ptr<int>> r(2);
+    r.push_back(p);
+    r.push_back(p);
+    EXPECT_EQ(p.use_count(), 3);
+    r.pop_front();
+    EXPECT_EQ(p.use_count(), 2);
+    r.pop_back();
+    EXPECT_EQ(p.use_count(), 1);
+    r.push_back(p);
+    r.clear();
+    EXPECT_EQ(p.use_count(), 1);
+    EXPECT_TRUE(r.empty());
+}
+
+TEST(Ring, LowerBoundOverWrappedRing)
+{
+    Ring<int> r(8);
+    for (int v = 0; v < 6; ++v)
+        r.push_back(v);
+    for (int n = 0; n < 5; ++n)
+        r.pop_front(); // the head sits at slot 5
+    for (int v = 10; v <= 70; v += 10)
+        r.push_back(v); // 5 10 20 ... 70, wrapping after 20
+    ASSERT_EQ(r.size(), r.capacity());
+    ASSERT_TRUE(std::is_sorted(r.begin(), r.end()));
+    for (int key = 0; key <= 75; ++key) {
+        const auto it = std::lower_bound(r.begin(), r.end(), key);
+        const auto want = std::find_if(
+            r.begin(), r.end(), [key](int v) { return v >= key; });
+        EXPECT_EQ(it, want) << "key " << key;
+    }
+    const auto it = std::lower_bound(r.begin(), r.end(), 35);
+    EXPECT_EQ(*it, 40);
+    EXPECT_EQ(it - r.begin(), 4);
+    EXPECT_EQ(std::lower_bound(r.begin(), r.end(), 71), r.end());
+}
+
+TEST(Ring, OverflowAndUnderflowAssert)
+{
+    Ring<int> r(3); // four slots
+    for (int v = 0; v < 4; ++v)
+        r.push_back(v);
+    EXPECT_THROW(r.push_back(4), PanicError);
+    EXPECT_EQ(r.size(), 4u); // the refused push changed nothing
+    EXPECT_EQ(r.front(), 0);
+    EXPECT_EQ(r.back(), 3);
+    r.pop_front();
+    EXPECT_NO_THROW(r.push_back(4));
+    EXPECT_EQ(r.back(), 4);
+
+    Ring<int> empty(2);
+    EXPECT_THROW(empty.pop_front(), PanicError);
+    EXPECT_THROW(empty.pop_back(), PanicError);
 }
 
 // --------------------------------------------------------------------

@@ -149,26 +149,26 @@ TEST(FaultInjection, JobKeyCoversRobustnessFields)
 
 TEST(InvariantChecker, GoldenSuiteCleanAndCountersUnperturbed)
 {
-    // Every golden case under SPT{Bwd,ShadowL1}: the checker must
+    // Every golden case under every Table-2 config: the checker must
     // stay silent, and — because it is observer-only — attaching it
-    // must leave every engine counter (untaint.* included)
-    // bit-identical to the unobserved run.
-    EngineConfig engine;
-    engine.scheme = ProtectionScheme::kSpt;
-    engine.spt.method = UntaintMethod::kBackward;
-    engine.spt.shadow = ShadowKind::kShadowL1;
-
+    // must leave every engine counter (untaint.* and delay.*
+    // included) bit-identical to the unobserved run. The unobserved
+    // run lets memStage charge a frozen walk's delay without walking;
+    // the checked one walks every cycle, so equal delay.mem_cycles
+    // pin that shortcut under every scheme's gate.
     std::vector<RunJob> grid;
-    for (const GoldenCase &c : goldenSuite()) {
-        RunJob plain;
-        plain.program = &c.program;
-        plain.engine = engine;
-        plain.attack_model = c.model;
-        plain.label = c.name;
-        RunJob checked = plain;
-        checked.invariants = true;
-        grid.push_back(plain);
-        grid.push_back(checked);
+    for (const NamedConfig &nc : table2Configs()) {
+        for (const GoldenCase &c : goldenSuite()) {
+            RunJob plain;
+            plain.program = &c.program;
+            plain.engine = nc.engine;
+            plain.attack_model = c.model;
+            plain.label = nc.name + "/" + c.name;
+            RunJob checked = plain;
+            checked.invariants = true;
+            grid.push_back(plain);
+            grid.push_back(checked);
+        }
     }
     ExpRunner runner(2);
     const std::vector<RunOutcome> out = runner.run(grid);

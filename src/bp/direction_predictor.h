@@ -1,15 +1,15 @@
 /**
  * @file
- * Interface for conditional-branch direction predictors, plus shared
- * saturating-counter helpers.
+ * Pieces shared by the conditional-branch direction predictors
+ * (bimodal, TAGE, LTAGE): the speculative-history checkpoint and the
+ * saturating counter.
  *
- * Speculative global-history management: predictors that use global
- * history update it speculatively at predict() time and expose
- * checkpoint()/restore() so the core can rewind on a squash.
- * Counter-table training happens only at commit time via update(),
- * which keeps predictor *training* state free of transient (and
- * hence possibly tainted) outcomes, as required by SPT's
- * prediction-based implicit-channel rule (paper Section 6.4).
+ * Predictors that use global history update it speculatively at
+ * predict() time and expose checkpoint()/restore() so the core can
+ * rewind on a squash. Counter-table training happens only at commit
+ * time via update(), which keeps predictor *training* state free of
+ * transient (and hence possibly tainted) outcomes, as required by
+ * SPT's prediction-based implicit-channel rule (paper Section 6.4).
  */
 
 #ifndef SPT_BP_DIRECTION_PREDICTOR_H
@@ -23,24 +23,6 @@ namespace spt {
 /** Opaque speculative-history checkpoint. */
 struct BpCheckpoint {
     std::vector<uint64_t> words;
-};
-
-class DirectionPredictor
-{
-  public:
-    virtual ~DirectionPredictor() = default;
-
-    /** Predicts the branch at @p pc and speculatively advances any
-     *  internal history with the predicted outcome. */
-    virtual bool predict(uint64_t pc) = 0;
-
-    /** Commit-time training with the architectural outcome. */
-    virtual void update(uint64_t pc, bool taken) = 0;
-
-    /** Captures speculative state (history registers) into @p cp,
-     *  reusing its storage, and restores it. */
-    virtual void checkpoint(BpCheckpoint &cp) const = 0;
-    virtual void restore(const BpCheckpoint &cp) = 0;
 };
 
 /** An n-bit saturating up/down counter. */

@@ -14,15 +14,20 @@
 
 namespace spt {
 
-class LtagePredictor : public DirectionPredictor
+class LtagePredictor
 {
   public:
     explicit LtagePredictor(const TageConfig &config = TageConfig{});
 
-    bool predict(uint64_t pc) override;
-    void update(uint64_t pc, bool taken) override;
-    void checkpoint(BpCheckpoint &cp) const override;
-    void restore(const BpCheckpoint &cp) override;
+    /** Predicts the branch at @p pc and speculatively advances the
+     *  global history with the predicted outcome. */
+    bool predict(uint64_t pc);
+    /** Commit-time training with the architectural outcome. */
+    void update(uint64_t pc, bool taken);
+    /** Captures the speculative state (history registers) into
+     *  @p cp, reusing its storage, and restores it. */
+    void checkpoint(BpCheckpoint &cp) const;
+    void restore(const BpCheckpoint &cp);
 
     /** Must be called after any squash (see LoopPredictor). */
     void onSquash() { loop_.resyncSpeculative(); }

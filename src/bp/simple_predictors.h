@@ -15,15 +15,13 @@
 namespace spt {
 
 /** Classic bimodal table of 2-bit counters, indexed by pc. */
-class BimodalPredictor : public DirectionPredictor
+class BimodalPredictor
 {
   public:
     explicit BimodalPredictor(unsigned index_bits = 13);
 
-    bool predict(uint64_t pc) override;
-    void update(uint64_t pc, bool taken) override;
-    void checkpoint(BpCheckpoint &cp) const override { cp.words.clear(); }
-    void restore(const BpCheckpoint &) override {}
+    bool predict(uint64_t pc);
+    void update(uint64_t pc, bool taken);
 
   private:
     unsigned index_bits_;

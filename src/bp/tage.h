@@ -95,15 +95,15 @@ struct TageConfig {
     uint64_t useful_reset_period = 1 << 18;
 };
 
-class TagePredictor : public DirectionPredictor
+class TagePredictor
 {
   public:
     explicit TagePredictor(const TageConfig &config = TageConfig{});
 
-    bool predict(uint64_t pc) override;
-    void update(uint64_t pc, bool taken) override;
-    void checkpoint(BpCheckpoint &cp) const override;
-    void restore(const BpCheckpoint &cp) override;
+    bool predict(uint64_t pc);
+    void update(uint64_t pc, bool taken);
+    void checkpoint(BpCheckpoint &cp) const;
+    void restore(const BpCheckpoint &cp);
 
     /** Pushes a speculative-history bit without predicting (used to
      *  replay the correct outcome after a mispredict recovery). */

@@ -104,7 +104,7 @@ SptEngine::entryOf(const DynInst &d)
     if (d.taint_idx == kNoTaintIdx)
         return nullptr;
     Entry &e = entries_[d.taint_idx];
-    return (e.live && e.seq == d.seq) ? &e : nullptr;
+    return e.holds(d.seq) ? &e : nullptr;
 }
 
 const SptEngine::Entry *
@@ -113,35 +113,14 @@ SptEngine::entryOf(const DynInst &d) const
     return const_cast<SptEngine *>(this)->entryOf(d);
 }
 
-SptEngine::Entry *
-SptEngine::entryBySeq(SeqNum seq)
-{
-    // Live positions [head_, tail_) hold strictly increasing seqs
-    // (ROB order), so a binary search over ring positions suffices.
-    uint64_t lo = head_, hi = tail_;
-    while (lo < hi) {
-        const uint64_t mid = lo + (hi - lo) / 2;
-        if (entryAt(mid).seq < seq)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    if (lo == tail_)
-        return nullptr;
-    Entry &e = entryAt(lo);
-    return (e.live && e.seq == seq) ? &e : nullptr;
-}
-
-const SptEngine::Entry *
-SptEngine::entryBySeq(SeqNum seq) const
-{
-    return const_cast<SptEngine *>(this)->entryBySeq(seq);
-}
-
 const SptEngine::InstTaint *
 SptEngine::instTaint(SeqNum seq) const
 {
-    const Entry *e = entryBySeq(seq);
+    // The ring runs parallel to the ROB and a slot frees before the
+    // core pops its instruction, so the ROB lookup finds every live
+    // slot; a retired or squashed one fails entryOf.
+    const DynInst *d = core_->findInst(seq);
+    const Entry *e = d ? entryOf(*d) : nullptr;
     return e ? &e->it : nullptr;
 }
 
@@ -167,8 +146,7 @@ SptEngine::raiseFlag(Entry &e, int slot)
     // arbitration order the old ordered set encoded in its keys.
     const uint64_t idx =
         static_cast<uint64_t>(&e - entries_.data());
-    pending_flags_.raise(idx, static_cast<unsigned>(slot));
-    slotFlag(e.it, slot) = true;
+    pending_flags_.set(idx, static_cast<unsigned>(slot));
     // A flag is raised exactly when a local mask shrank: the core's
     // memoised memory-gate verdicts may be stale.
     core_->noteGateInputsChanged();
@@ -180,7 +158,6 @@ SptEngine::clearFlag(Entry &e, int slot)
     const uint64_t idx =
         static_cast<uint64_t>(&e - entries_.data());
     pending_flags_.clear(idx, static_cast<unsigned>(slot));
-    slotFlag(e.it, slot) = false;
 }
 
 void
@@ -192,9 +169,6 @@ SptEngine::freeEntry(Entry &e)
         clearFlag(e, slot);
     stl_candidates_.clear(idx);
     shadow_candidates_.clear(idx);
-    e.stl_candidate = false;
-    e.shadow_candidate = false;
-    e.live = false;
     e.inst = nullptr;
 }
 
@@ -211,8 +185,7 @@ SptEngine::registerRegSlots(const DynInst &d, uint32_t idx)
         // at amortized O(1) per insert.
         if (refs.size() >= 16 && refs.size() == refs.capacity()) {
             std::erase_if(refs, [this](const RegSlotRef &r) {
-                const Entry &e = entries_[r.idx];
-                return !e.live || e.seq != r.seq;
+                return !entries_[r.idx].holds(r.seq);
             });
         }
         refs.push_back({idx, d.seq, static_cast<uint8_t>(slot)});
@@ -252,17 +225,6 @@ SptEngine::slotMask(InstTaint &it, int slot) const
     }
 }
 
-bool &
-SptEngine::slotFlag(InstTaint &it, int slot) const
-{
-    switch (slot) {
-      case 0: return it.dest_flag;
-      case 1: return it.src_flag[0];
-      case 2: return it.src_flag[1];
-      default: SPT_PANIC("bad slot");
-    }
-}
-
 // --------------------------------------------------------------------
 // Pipeline events
 // --------------------------------------------------------------------
@@ -274,11 +236,10 @@ SptEngine::onRename(DynInst &d)
                "taint ring overflow: ROB grew past attach-time size");
     const uint32_t idx = static_cast<uint32_t>(tail_ & idx_mask_);
     Entry &e = entries_[idx];
-    SPT_ASSERT(!e.live, "taint ring slot still live at rename");
+    SPT_ASSERT(!e.inst, "taint ring slot still live at rename");
     e = Entry{};
     e.seq = d.seq;
     e.inst = &d;
-    e.live = true;
     d.taint_idx = idx;
     ++tail_;
 
@@ -308,17 +269,15 @@ SptEngine::onRename(DynInst &d)
 void
 SptEngine::onSquash(const DynInst &d)
 {
-    if (d.taint_idx == kNoTaintIdx)
+    Entry *e = entryOf(d);
+    if (!e)
         return; // squashed before rename (fetch queue)
-    Entry &e = entries_[d.taint_idx];
-    if (!e.live || e.seq != d.seq)
-        return;
     // The core squashes the ROB suffix youngest-first, so frees pop
     // the ring tail.
     SPT_ASSERT(tail_ > head_ &&
                    ((tail_ - 1) & idx_mask_) == d.taint_idx,
                "out-of-order squash");
-    freeEntry(e);
+    freeEntry(*e);
     --tail_;
     if (vp_cursor_ > tail_)
         vp_cursor_ = tail_;
@@ -349,7 +308,8 @@ SptEngine::flushFlagsToMaster(const DynInst &d)
     if (!e)
         return;
     for (int slot = 0; slot < 3; ++slot) {
-        if (!slotFlag(e->it, slot))
+        if (!pending_flags_.test(d.taint_idx,
+                                 static_cast<unsigned>(slot)))
             continue;
         const PhysReg reg = slotReg(d, slot);
         if (reg != kNoPhysReg && reg != PhysRegFile::kZeroReg)
@@ -368,10 +328,9 @@ SptEngine::onLoadData(DynInst &d, bool forwarded, SeqNum)
     if (!d.has_dest)
         return; // a load into x0: its value is never observed, so
                 // neither the load rule nor the STL rule applies
-    if (forwarded && !e->stl_candidate) {
+    if (forwarded) {
         // Either direction of the STL rule may fire later, whatever
         // the current masks (Section 6.7).
-        e->stl_candidate = true;
         stl_candidates_.set(d.taint_idx);
     }
 
@@ -403,7 +362,6 @@ SptEngine::onLoadData(DynInst &d, bool forwarded, SeqNum)
     if (cfg_.shadow != ShadowKind::kNone && !it.shadow_cleared) {
         // May retroactively clear the read bytes once the output
         // untaints (shadowClearPhase).
-        e->shadow_candidate = true;
         shadow_candidates_.set(d.taint_idx);
         shadow_rescan_ = true;
     }
@@ -473,17 +431,6 @@ SptEngine::mayResolveBranch(const DynInst &d) const
 }
 
 bool
-SptEngine::storeAddrPublic(const DynInst &store) const
-{
-    if (store.at_vp)
-        return true;
-    const Entry *e = entryOf(store);
-    if (!e)
-        return true;
-    return e->it.src[0].nothing();
-}
-
-bool
 SptEngine::stlPublic(const DynInst &load, const DynInst &store) const
 {
     // STLPublic(S, L): L's address is untainted and the addresses of
@@ -496,7 +443,7 @@ SptEngine::stlPublic(const DynInst &load, const DynInst &store) const
             continue;
         if (st->seq < store.seq || st->seq >= load.seq)
             continue;
-        if (!storeAddrPublic(*st))
+        if (!addrOperandPublic(*st))
             return false;
     }
     return true;
@@ -522,7 +469,7 @@ SptEngine::memSquashPublic(const DynInst &load) const
     for (const DynInstPtr &st : core_->storeQueue()) {
         if (st->squashed || st->seq > load.seq)
             continue;
-        if (!storeAddrPublic(*st))
+        if (!addrOperandPublic(*st))
             return false;
     }
     return true;
@@ -744,7 +691,7 @@ SptEngine::localRulesPhase()
     for (size_t i = 0; i < n; ++i) {
         const EntryRef ref = local_queue_[i];
         Entry &e = entries_[ref.idx];
-        if (!e.live || e.seq != ref.seq)
+        if (!e.holds(ref.seq))
             continue; // slot recycled since queueing
         e.in_local_queue = false;
         if (evalLocalRules(e)) {
@@ -766,7 +713,7 @@ SptEngine::stlPhase()
     // order is seq order, so this visits the same loads in the same
     // order as the old LSQ walk while word-skipping everything else.
     bool changed = false;
-    stl_candidates_.forEach(head_, tail_, [&](uint64_t pos) {
+    stl_candidates_.forEach(head_, tail_, [&](uint64_t pos, unsigned) {
         Entry &le = entryAt(pos);
         const DynInst *ld = le.inst;
         // An MSHR retry can strip `forwarded` after the candidate
@@ -775,10 +722,11 @@ SptEngine::stlPhase()
         if (ld->squashed || !ld->forwarded ||
             !le.it.load_data_seen)
             return true;
-        Entry *se = entryBySeq(ld->forwarding_store);
+        const DynInst *st = core_->findInst(ld->forwarding_store);
+        Entry *se = st ? entryOf(*st) : nullptr;
         if (!se)
             return true; // store retired before the pair went public
-        if (!stlPublic(*ld, *se->inst))
+        if (!stlPublic(*ld, *st))
             return true;
         InstTaint &lt = le.it;
         InstTaint &stt = se->it;
@@ -823,7 +771,7 @@ SptEngine::shadowClearPhase()
     // knows the output value. Candidate bits (set when load data
     // arrives) cover every load that can still fire; visiting them
     // in ring (= seq) order matches the old LSQ walk.
-    shadow_candidates_.forEach(head_, tail_, [&](uint64_t pos) {
+    shadow_candidates_.forEach(head_, tail_, [&](uint64_t pos, unsigned) {
         Entry &e = entryAt(pos);
         const DynInst *ld = e.inst;
         if (ld->squashed || !ld->at_vp || ld->forwarded ||
@@ -834,7 +782,6 @@ SptEngine::shadowClearPhase()
             it.dest.any())
             return true;
         it.shadow_cleared = true;
-        e.shadow_candidate = false;
         shadow_candidates_.clear(pos & idx_mask_);
         taint_store_->clearTaint(ld->eff_addr, ld->mem_bytes);
         stats_.inc("shadow.load_clears");
@@ -862,7 +809,7 @@ SptEngine::applyBroadcast(PhysReg reg, TaintMask mask)
     for (size_t r = 0; r < refs.size(); ++r) {
         const RegSlotRef ref = refs[r];
         Entry &e = entries_[ref.idx];
-        if (!e.live || e.seq != ref.seq)
+        if (!e.holds(ref.seq))
             continue;
         refs[w++] = ref;
         TaintMask &m = slotMask(e.it, ref.slot);
@@ -902,7 +849,7 @@ SptEngine::broadcastPhase()
     while (chosen_.size() < width &&
            pending_flags_.first(head_, tail_, pos, k)) {
         Entry &e = entryAt(pos);
-        SPT_ASSERT(e.live, "pending flag references a freed slot");
+        SPT_ASSERT(e.inst, "pending flag references a freed slot");
         const int slot = static_cast<int>(k);
         clearFlag(e, slot);
         const PhysReg reg = slotReg(*e.inst, slot);
@@ -943,7 +890,7 @@ SptEngine::idealPropagate()
         unsigned k;
         while (pending_flags_.first(head_, tail_, pos, k)) {
             Entry &e = entryAt(pos);
-            SPT_ASSERT(e.live,
+            SPT_ASSERT(e.inst,
                        "pending flag references a freed slot");
             const int slot = static_cast<int>(k);
             clearFlag(e, slot);

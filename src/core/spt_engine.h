@@ -40,10 +40,10 @@
  *    rule evaluation (the rules are pure functions of an
  *    instruction's own masks, so re-evaluating an unchanged
  *    instruction is a no-op — visiting only changed ones is
- *    behavior-preserving). `pending_flags_` is an ordered set of
- *    raised untaint-broadcast flags keyed so that iteration order
- *    equals the paper's arbitration order; the broadcast phase
- *    drains it instead of rescanning the ROB. `vp_cursor_` tracks
+ *    behavior-preserving). `pending_flags_` is a ring-parallel
+ *    bitmap of raised untaint-broadcast flags whose scan order is
+ *    the paper's arbitration order; the broadcast phase drains it
+ *    instead of rescanning the ROB. `vp_cursor_` tracks
  *    the ROB prefix already declassified (at_vp spreads as a
  *    contiguous, monotone prefix), so declassification visits each
  *    instruction exactly once. The broadcast phase returns at once
@@ -143,9 +143,7 @@ class SptEngine : public SecurityEngine
     /** Local taint state of an in-flight instruction, or nullptr. */
     struct InstTaint {
         TaintMask src[2] = {TaintMask::none(), TaintMask::none()};
-        bool src_flag[2] = {false, false};
         TaintMask dest = TaintMask::none();
-        bool dest_flag = false;
         bool declassified = false;
         bool load_data_seen = false;
         bool shadow_cleared = false;
@@ -167,17 +165,19 @@ class SptEngine : public SecurityEngine
     }
 
   private:
-    /** One taint-storage slot, ring-buffer-parallel to a ROB slot. */
+    /** One taint-storage slot, ring-buffer-parallel to a ROB slot.
+     *  Its raised flags and candidate marks live in the ring
+     *  bitmaps below. */
     struct Entry {
         InstTaint it;
         SeqNum seq = 0;
-        /** Owning instruction; stable while `live` (freed before the
-         *  core drops its DynInstPtr at retire/squash). */
+        /** Owning instruction; null while the slot is free (freed
+         *  before the core drops its DynInstPtr at retire/squash). */
         const DynInst *inst = nullptr;
-        bool live = false;
         bool in_local_queue = false;    ///< queued for local rules
-        bool stl_candidate = false;     ///< forwarded load (STL phase)
-        bool shadow_candidate = false;  ///< may clear shadow taint
+
+        /** Does this slot still hold instruction @p s? */
+        bool holds(SeqNum s) const { return inst && seq == s; }
     };
 
     /** A work-list reference; stale once the slot is recycled. */
@@ -217,18 +217,19 @@ class SptEngine : public SecurityEngine
      *  the broadcast arbitration order — older instruction first,
      *  destination (slot 0) before sources (Section 7.3) — since
      *  ring order is seq order. */
-    RingFlagBitmap pending_flags_;
+    RingBitmap<4> pending_flags_;
 
     /** Per physical register: the in-flight slots naming it (built
      *  at rename, compacted lazily), so a broadcast touches only the
      *  consumers of that register instead of the whole ROB. */
     std::vector<std::vector<RegSlotRef>> reg_slots_;
 
-    /** Ring slots with stl_candidate / shadow_candidate set; the
-     *  candidate phases iterate set bits in ring (= seq) order with
-     *  word-level skips instead of walking the core's LSQ. */
-    RingBitmap stl_candidates_;
-    RingBitmap shadow_candidates_;
+    /** Ring slots of forwarded loads (STL phase) and of loads that
+     *  may still clear shadow taint; the candidate phases iterate set
+     *  bits in ring (= seq) order with word-level skips instead of
+     *  walking the core's LSQ. */
+    RingBitmap<1> stl_candidates_;
+    RingBitmap<1> shadow_candidates_;
     /** A shadow-clear candidate's inputs may have changed since the
      *  last scan: a local mask changed (markLocalDirty), the VP cursor
      *  advanced (at_vp), or a candidate joined. A scan that finds
@@ -249,8 +250,6 @@ class SptEngine : public SecurityEngine
     Entry &entryAt(uint64_t pos) { return entries_[pos & idx_mask_]; }
     Entry *entryOf(const DynInst &d);
     const Entry *entryOf(const DynInst &d) const;
-    Entry *entryBySeq(SeqNum seq);
-    const Entry *entryBySeq(SeqNum seq) const;
 
     void markLocalDirty(Entry &e);
     void raiseFlag(Entry &e, int slot);
@@ -280,11 +279,9 @@ class SptEngine : public SecurityEngine
     bool memSquashPublic(const DynInst &load) const;
     /** STLPublic(S, L) of Section 6.7. */
     bool stlPublic(const DynInst &load, const DynInst &store) const;
-    bool storeAddrPublic(const DynInst &store) const;
 
     PhysReg slotReg(const DynInst &d, int slot) const;
     TaintMask &slotMask(InstTaint &it, int slot) const;
-    bool &slotFlag(InstTaint &it, int slot) const;
 };
 
 } // namespace spt

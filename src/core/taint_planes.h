@@ -1,9 +1,7 @@
 /**
  * @file
- * Word-parallel bit-set storage for the SPT engine's hot structures
- * (the bitplane repack of the PR-6 throughput work).
- *
- * Three containers, all built on plain uint64 words so the per-cycle
+ * Word-parallel bit-set storage for the SPT engine's hot structures.
+ * Both containers are built on plain uint64 words, so the per-cycle
  * phases turn into word-parallel bit operations:
  *
  *  - TaintPlanes: the master per-physical-register taint bits stored
@@ -11,21 +9,21 @@
  *    "group g of register r is tainted". Point accesses touch one
  *    bit per plane; population queries (taintedRegCount) OR the four
  *    planes and popcount whole words instead of scanning registers.
- *  - RingFlagBitmap: the raised untaint-broadcast flags as a
- *    circular bitmap parallel to the engine's taint ring, one 4-bit
- *    nibble per ring slot (operand slots 0-2 used). Because ring
- *    order is seq order, scanning from the ring head yields flags in
- *    the paper's arbitration order — older instruction first,
- *    destination before sources — which the old std::set encoded as
- *    key order `(seq << 2) | slot` at O(log n) per operation.
- *  - RingBitmap: one bit per ring slot; backs the STL/shadow-clear
- *    candidate scans so those phases visit only candidate slots (in
- *    ring = seq order) with word-level skips over empty regions.
+ *  - RingBitmap<kBitsPerSlot>: a circular bitmap parallel to the
+ *    engine's taint ring. Ring order is seq order, so a scan from
+ *    the ring head visits older instructions first, and within a
+ *    slot lower bits first. With 4 bits per slot (operand slots 0-2
+ *    used) it holds the raised untaint-broadcast flags, and the scan
+ *    order is the paper's arbitration order: older instruction first,
+ *    destination before sources. With 1 bit per slot it marks the
+ *    STL and shadow-clear candidates, so those phases visit only
+ *    candidate slots. One word-skip scan serves `first` and
+ *    `forEach`.
  *
- * All three are position-addressed: callers pass *logical* ring
+ * A RingBitmap is position-addressed: callers pass *logical* ring
  * positions (monotonically growing, `pos & (capacity-1)` is the
- * physical slot) for iteration bounds and physical slot indices for
- * point updates, mirroring the engine's head_/tail_ bookkeeping.
+ * physical slot) for scan bounds and physical slot indices for point
+ * updates, mirroring the engine's head_/tail_ bookkeeping.
  */
 
 #ifndef SPT_CORE_TAINT_PLANES_H
@@ -47,7 +45,6 @@ class TaintPlanes
     void
     assign(std::size_t num_regs, TaintMask init)
     {
-        num_regs_ = num_regs;
         const std::size_t words = (num_regs + 63) / 64;
         for (unsigned g = 0; g < TaintMask::kNumGroups; ++g)
             planes_[g].assign(words,
@@ -111,211 +108,132 @@ class TaintPlanes
         return n;
     }
 
-    std::size_t numRegs() const { return num_regs_; }
-    const std::vector<uint64_t> &plane(unsigned g) const
-    {
-        return planes_[g];
-    }
-    std::vector<uint64_t> &plane(unsigned g) { return planes_[g]; }
-
   private:
     std::vector<uint64_t> planes_[TaintMask::kNumGroups];
-    std::size_t num_regs_ = 0;
 };
 
-class RingFlagBitmap
+/** A circular bitmap parallel to the engine's taint ring:
+ *  kBitsPerSlot bits per ring slot, packed into uint64 words. Scans
+ *  run in (position, bit) order — older slot first, then lower bit —
+ *  with word-level skips over empty spans. */
+template <unsigned kBitsPerSlot>
+class RingBitmap
 {
+    static_assert(kBitsPerSlot != 0 && 64 % kBitsPerSlot == 0,
+                  "a slot's bits must not straddle a word");
+    static constexpr uint64_t kSlotMask =
+        (uint64_t{1} << kBitsPerSlot) - 1;
+
   public:
     /** @param capacity ring capacity; must be a power of two. */
     void
     assign(uint64_t capacity)
     {
         cap_ = capacity;
-        words_.assign((capacity * 4 + 63) / 64, 0);
+        words_.assign((capacity * kBitsPerSlot + 63) / 64, 0);
         count_ = 0;
     }
 
     void
-    raise(uint64_t slot, unsigned k)
+    set(uint64_t slot, unsigned bit = 0)
     {
-        const uint64_t b = slot * 4 + k;
+        const uint64_t b = slot * kBitsPerSlot + bit;
         uint64_t &w = words_[b >> 6];
-        const uint64_t bit = uint64_t{1} << (b & 63);
-        if (!(w & bit)) {
-            w |= bit;
+        const uint64_t m = uint64_t{1} << (b & 63);
+        if (!(w & m)) {
+            w |= m;
             ++count_;
         }
     }
 
     void
-    clear(uint64_t slot, unsigned k)
+    clear(uint64_t slot, unsigned bit = 0)
     {
-        const uint64_t b = slot * 4 + k;
+        const uint64_t b = slot * kBitsPerSlot + bit;
         uint64_t &w = words_[b >> 6];
-        const uint64_t bit = uint64_t{1} << (b & 63);
-        if (w & bit) {
-            w &= ~bit;
+        const uint64_t m = uint64_t{1} << (b & 63);
+        if (w & m) {
+            w &= ~m;
             --count_;
         }
+    }
+
+    bool
+    test(uint64_t slot, unsigned bit = 0) const
+    {
+        const uint64_t b = slot * kBitsPerSlot + bit;
+        return (words_[b >> 6] >> (b & 63)) & 1;
     }
 
     bool empty() const { return count_ == 0; }
     uint64_t size() const { return count_; }
 
-    /** Lowest pending flag in [head, tail) by (position, operand
-     *  slot) — the broadcast arbitration order. Word-level skips
-     *  over empty spans. */
+    /** Lowest set bit at logical positions [head, tail) in scan
+     *  order; false if there is none. */
     bool
     first(uint64_t head, uint64_t tail, uint64_t &pos_out,
-          unsigned &slot_out) const
+          unsigned &bit_out) const
     {
-        const uint64_t mask = cap_ - 1;
         uint64_t pos = head;
+        if (!nextSetSlot(pos, tail))
+            return false;
+        pos_out = pos;
+        bit_out = static_cast<unsigned>(std::countr_zero(bits(pos)));
+        return true;
+    }
+
+    /** Visits every set bit at logical positions [head, tail) in scan
+     *  order; @p fn(pos, bit) returns false to stop early. Bits are
+     *  re-read after each visit, so @p fn may clear bits (including
+     *  the visited one). */
+    template <typename Fn>
+    void
+    forEach(uint64_t head, uint64_t tail, Fn fn) const
+    {
+        for (uint64_t pos = head; nextSetSlot(pos, tail); ++pos)
+            for (unsigned k = 0; k < kBitsPerSlot; ++k)
+                if (((bits(pos) >> k) & 1) && !fn(pos, k))
+                    return;
+    }
+
+  private:
+    /** The bits of the slot at logical position @p pos. */
+    uint64_t
+    bits(uint64_t pos) const
+    {
+        const uint64_t b = (pos & (cap_ - 1)) * kBitsPerSlot;
+        return (words_[b >> 6] >> (b & 63)) & kSlotMask;
+    }
+
+    /** Advances @p pos to the first position in [pos, tail) with a
+     *  set bit; false if there is none. */
+    bool
+    nextSetSlot(uint64_t &pos, uint64_t tail) const
+    {
         while (pos < tail) {
-            const uint64_t phys = pos & mask;
-            const uint64_t b = phys * 4;
+            const uint64_t phys = pos & (cap_ - 1);
+            const uint64_t b = phys * kBitsPerSlot;
             const unsigned sh = static_cast<unsigned>(b & 63);
             const uint64_t rest = words_[b >> 6] >> sh;
-            // Ring slots this word segment covers without crossing
-            // the physical wrap (nibbles never straddle words).
-            const uint64_t span = std::min(
-                {tail - pos, cap_ - phys, uint64_t{(64 - sh) / 4}});
-            if (rest == 0) {
-                pos += span;
-                continue;
-            }
+            // Slots this word segment covers without crossing the
+            // physical wrap.
+            const uint64_t span =
+                std::min({tail - pos, cap_ - phys,
+                          uint64_t{(64 - sh) / kBitsPerSlot}});
             const uint64_t adv =
-                static_cast<uint64_t>(std::countr_zero(rest)) / 4;
-            if (adv >= span) {
-                pos += span;
-                continue;
+                rest == 0 ? span
+                          : static_cast<uint64_t>(
+                                std::countr_zero(rest)) /
+                                kBitsPerSlot;
+            if (adv < span) {
+                pos += adv;
+                return true;
             }
-            pos_out = pos + adv;
-            slot_out = static_cast<unsigned>(
-                std::countr_zero((rest >> (adv * 4)) & 0xf));
-            return true;
+            pos += span;
         }
         return false;
     }
 
-    /** Visits every pending flag in [head, tail) in arbitration
-     *  order; @p fn(pos, slot) returns false to stop early. Words
-     *  are re-read after each visit, so @p fn may clear flags
-     *  (including the visited one). */
-    template <typename Fn>
-    void
-    forEach(uint64_t head, uint64_t tail, Fn fn) const
-    {
-        const uint64_t mask = cap_ - 1;
-        uint64_t pos = head;
-        while (pos < tail) {
-            const uint64_t phys = pos & mask;
-            const uint64_t b = phys * 4;
-            const unsigned sh = static_cast<unsigned>(b & 63);
-            const uint64_t rest = words_[b >> 6] >> sh;
-            const uint64_t span = std::min(
-                {tail - pos, cap_ - phys, uint64_t{(64 - sh) / 4}});
-            if (rest == 0) {
-                pos += span;
-                continue;
-            }
-            const uint64_t adv =
-                static_cast<uint64_t>(std::countr_zero(rest)) / 4;
-            if (adv >= span) {
-                pos += span;
-                continue;
-            }
-            pos += adv;
-            const uint64_t nb = (pos & mask) * 4;
-            for (unsigned k = 0; k < 4; ++k)
-                if ((words_[nb >> 6] >> ((nb & 63) + k)) & 1)
-                    if (!fn(pos, k))
-                        return;
-            ++pos;
-        }
-    }
-
-  private:
-    std::vector<uint64_t> words_;
-    uint64_t cap_ = 0;
-    uint64_t count_ = 0;
-};
-
-class RingBitmap
-{
-  public:
-    /** @param capacity ring capacity; must be a power of two. */
-    void
-    assign(uint64_t capacity)
-    {
-        cap_ = capacity;
-        words_.assign((capacity + 63) / 64, 0);
-        count_ = 0;
-    }
-
-    void
-    set(uint64_t slot)
-    {
-        uint64_t &w = words_[slot >> 6];
-        const uint64_t bit = uint64_t{1} << (slot & 63);
-        if (!(w & bit)) {
-            w |= bit;
-            ++count_;
-        }
-    }
-
-    void
-    clear(uint64_t slot)
-    {
-        uint64_t &w = words_[slot >> 6];
-        const uint64_t bit = uint64_t{1} << (slot & 63);
-        if (w & bit) {
-            w &= ~bit;
-            --count_;
-        }
-    }
-
-    bool test(uint64_t slot) const
-    {
-        return (words_[slot >> 6] >> (slot & 63)) & 1;
-    }
-    bool empty() const { return count_ == 0; }
-    uint64_t size() const { return count_; }
-
-    /** Visits every set slot at logical positions [head, tail) in
-     *  ring (= seq) order; @p fn(pos) returns false to stop. Words
-     *  are re-read after each visit, so @p fn may clear bits
-     *  (including the visited one). */
-    template <typename Fn>
-    void
-    forEach(uint64_t head, uint64_t tail, Fn fn) const
-    {
-        const uint64_t mask = cap_ - 1;
-        uint64_t pos = head;
-        while (pos < tail) {
-            const uint64_t phys = pos & mask;
-            const unsigned sh = static_cast<unsigned>(phys & 63);
-            const uint64_t rest = words_[phys >> 6] >> sh;
-            const uint64_t span = std::min(
-                {tail - pos, cap_ - phys, uint64_t{64} - sh});
-            if (rest == 0) {
-                pos += span;
-                continue;
-            }
-            const uint64_t adv =
-                static_cast<uint64_t>(std::countr_zero(rest));
-            if (adv >= span) {
-                pos += span;
-                continue;
-            }
-            pos += adv;
-            if (!fn(pos))
-                return;
-            ++pos;
-        }
-    }
-
-  private:
     std::vector<uint64_t> words_;
     uint64_t cap_ = 0;
     uint64_t count_ = 0;

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <exception>
 #include <memory>
-#include <sstream>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -54,7 +53,6 @@ configFor(const RunJob &job)
     cfg.core.attack_model = job.attack_model;
     cfg.max_cycles = job.max_cycles;
     cfg.profile = job.profile;
-    cfg.interval_stats = job.interval_stats;
     cfg.faults = job.faults;
     cfg.invariants = job.invariants;
     if (job.watchdog_cycles != 0)
@@ -92,9 +90,6 @@ simulate(const RunJob &job, std::exception_ptr *error)
     RunOutcome out;
     try {
         Simulator sim(*job.program, configFor(job));
-        std::ostringstream trace_text, trace_pipeview;
-        if (job.trace)
-            sim.enableTrace(&trace_text, &trace_pipeview);
         const auto j0 = std::chrono::steady_clock::now();
         out.result = sim.run();
         const auto j1 = std::chrono::steady_clock::now();
@@ -103,14 +98,8 @@ simulate(const RunJob &job, std::exception_ptr *error)
         const StatSet &stats = sim.core().engine().stats();
         out.engine_counters = stats.counters();
         out.engine_histograms = stats.histograms();
-        if (job.trace) {
-            out.trace_text = trace_text.str();
-            out.trace_pipeview = trace_pipeview.str();
-        }
         if (sim.profiler())
             out.profile_json = sim.profiler()->toJson();
-        if (sim.intervals())
-            out.intervals_json = sim.intervals()->toJson();
         if (sim.faults())
             out.fault_counters = sim.faults()->counters();
         for (unsigned r = 0; r < kNumArchRegs; ++r)

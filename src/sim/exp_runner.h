@@ -29,7 +29,7 @@
  * Duplicate jobs within a sweep are memoized: jobs with equal
  * content keys (ResultCache::canonicalKey — program content, every
  * engine-config field, attack model, seed, cycle limit, fault plan,
- * robustness knobs, observability flags; not the label) are
+ * robustness knobs, the profile flag; not the label) are
  * simulated once and the outcome is copied into every duplicate
  * slot. This is what spares e.g. a normalized-overhead grid from
  * re-deriving its UnsafeBaseline column per normalization.
@@ -87,15 +87,11 @@ struct RunJob {
      *  interpreted by the runner. */
     uint64_t seed = 0;
     uint64_t max_cycles = 500'000'000;
-    /** Capture the taint-lifecycle trace (text + pipeview) into the
-     *  outcome. Observability outputs are pure functions of the
-     *  simulated machine, so they are byte-identical for any worker
-     *  count — pinned by tests/test_observability.cpp. */
-    bool trace = false;
-    /** Capture the delay-attribution profile JSON into the outcome. */
+    /** Capture the delay-attribution profile JSON into the outcome.
+     *  It is a pure function of the simulated machine, so it is
+     *  byte-identical for any worker count — pinned by
+     *  tests/test_observability.cpp. */
     bool profile = false;
-    /** Interval-metrics period; 0 disables the time series. */
-    uint64_t interval_stats = 0;
     /** Seeded timing-fault schedule; all-zero rates = no injection. */
     FaultPlan faults;
     /** Attach the runtime invariant checker (observer-only). */
@@ -138,12 +134,9 @@ struct RunOutcome {
     /** True for duplicate slots served from an earlier slot's
      *  outcome instead of a fresh simulation. */
     bool memoized = false;
-    /** Observability artifacts, empty unless the corresponding RunJob
-     *  flag was set. Deterministic byte-for-byte (any --jobs). */
-    std::string trace_text;
-    std::string trace_pipeview;
+    /** Delay-attribution profile, empty unless RunJob::profile was
+     *  set. Deterministic byte-for-byte (any --jobs). */
     std::string profile_json;
-    std::string intervals_json;
 
     // --- robustness (PR 5) --------------------------------------------
     RunStatus status = RunStatus::kOk;

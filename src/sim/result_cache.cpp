@@ -21,7 +21,7 @@ namespace spt {
 namespace {
 
 constexpr uint64_t kMagic = 0x5350545245533031ull; // "SPTRES01"
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
 
 std::string
 hex16(uint64_t v)
@@ -221,35 +221,28 @@ ResultCache::canonicalKey(const RunJob &job, KeyHashMemo *memo)
 
     // Every descriptor field except `label` (presentation, not
     // identity), with each by-reference component replaced by its
-    // content hash. The observability flags participate: a traced
-    // run carries artifacts a plain run lacks. fast_forward
+    // content hash. The profile flag participates: a profiled run
+    // carries an artifact a plain run lacks. fast_forward
     // participates although it is result-identical by contract: it
     // changes the ff.* counters, and merging it would hide exactly
     // the regressions the equivalence gates exist to catch. The
-    // "resv2" prefix versions the key schema itself: changing how
-    // keys are derived, or which counters a stored outcome carries,
-    // must not alias old entries (resv1 records still hold the
-    // duplicate policy.*, lsu.*, fault.* and commit.* counters).
-    // Within a version the text stays byte-stable for every
-    // existing field. That is why `st=0`,
-    // `km=0000000000000000`, `ca=0` and `ck=0` remain as constants:
-    // they held the taint-storage, knowledge-map and checkpoint knobs
-    // of removed features, and every key already on disk has them.
+    // "resv3" prefix versions the key schema itself: changing how
+    // keys are derived, which fields they hold, or which counters a
+    // stored outcome carries must not alias old entries. Within a
+    // version the text stays byte-stable.
     char buf[512];
     int n = std::snprintf(
         buf, sizeof buf,
-        "resv2|prog=%016" PRIx64 "|sch=%u|m=%u|sh=%u|bw=%u|st=0"
-        "|mut=%u|km=0000000000000000|am=%u|seed=%" PRIu64
-        "|mc=%" PRIu64 "|tr=%u|pf=%u|iv=%" PRIu64 "|inv=%u"
-        "|wd=%" PRIu64 "|ff=%u|ca=0|fs=%" PRIu64,
+        "resv3|prog=%016" PRIx64 "|sch=%u|m=%u|sh=%u|bw=%u|mut=%u"
+        "|am=%u|seed=%" PRIu64 "|mc=%" PRIu64 "|pf=%u|inv=%u"
+        "|wd=%" PRIu64 "|ff=%u|fs=%" PRIu64,
         prog, static_cast<unsigned>(job.engine.scheme),
         static_cast<unsigned>(job.engine.spt.method),
         static_cast<unsigned>(job.engine.spt.shadow),
         job.engine.spt.broadcast_width,
         static_cast<unsigned>(job.engine.spt.mutation),
         static_cast<unsigned>(job.attack_model), job.seed,
-        job.max_cycles, static_cast<unsigned>(job.trace),
-        static_cast<unsigned>(job.profile), job.interval_stats,
+        job.max_cycles, static_cast<unsigned>(job.profile),
         static_cast<unsigned>(job.invariants), job.watchdog_cycles,
         static_cast<unsigned>(job.fast_forward), job.faults.seed);
     std::string key(buf, static_cast<std::size_t>(n));
@@ -258,7 +251,6 @@ ResultCache::canonicalKey(const RunJob &job, KeyHashMemo *memo)
                       job.faults.rate_ppm[i]);
         key += buf;
     }
-    key += "|ck=0";
     return key;
 }
 
@@ -290,10 +282,7 @@ ResultCache::encodeOutcome(const RunOutcome &out)
         putU64(b, h.sum_);
         putU64(b, h.max_);
     }
-    putStr(b, out.trace_text);
-    putStr(b, out.trace_pipeview);
     putStr(b, out.profile_json);
-    putStr(b, out.intervals_json);
     putU64(b, out.fault_counters.size());
     for (const auto &[name, value] : out.fault_counters) {
         putStr(b, name);
@@ -301,12 +290,6 @@ ResultCache::encodeOutcome(const RunOutcome &out)
     }
     for (const uint64_t r : out.arch_regs)
         putU64(b, r);
-    // The slots of the removed failure-evidence fields (a trace tail
-    // and a reproduced flag). Only clean outcomes are stored, and
-    // those never carried evidence, so every record on disk holds
-    // exactly these constants.
-    putStr(b, "");
-    putU8(b, 0);
     return b;
 }
 
@@ -357,10 +340,7 @@ ResultCache::decodeOutcome(const std::string &bytes)
         out.engine_histograms.emplace(std::move(name),
                                       std::move(h));
     }
-    out.trace_text = rd.str();
-    out.trace_pipeview = rd.str();
     out.profile_json = rd.str();
-    out.intervals_json = rd.str();
     const uint64_t nfaults = rd.u64();
     if (nfaults > (uint64_t{1} << 16))
         SPT_FATAL("result record corrupt: " << nfaults
@@ -371,8 +351,6 @@ ResultCache::decodeOutcome(const std::string &bytes)
     }
     for (uint64_t &r : out.arch_regs)
         r = rd.u64();
-    if (!rd.str().empty() || rd.u8() != 0)
-        SPT_FATAL("result record corrupt: evidence slots set");
     if (!rd.atEnd())
         SPT_FATAL("result record corrupt: trailing bytes");
     return out;
@@ -383,8 +361,6 @@ ResultCache::encodeOutcomeDeterministic(const RunOutcome &out)
 {
     RunOutcome copy = out;
     copy.host_seconds = 0.0;
-    copy.memoized = false;
-    copy.job_desc.clear();
     return encodeOutcome(copy);
 }
 

@@ -8,10 +8,10 @@
  * is replaced by its content fingerprint (Program::fingerprint:
  * instruction stream, entry, data segments, secret ranges), plus
  * every scalar field of the descriptor (engine configuration,
- * attack model, seed, cycle budget, fault plan, observability
- * flags). Two jobs with equal canonical keys are the same pure
- * function: the simulator is deterministic and byte-identical at
- * any worker count, so serving a hit from disk is provably exact,
+ * attack model, seed, cycle budget, fault plan, profile flag). Two
+ * jobs with equal canonical keys are the same pure function: the
+ * simulator is deterministic and byte-identical at any worker
+ * count, so serving a hit from disk is provably exact,
  * not approximate. `verify` mode makes that claim testable by
  * re-simulating hits and comparing the deterministic portion of the
  * outcome byte-for-byte. The same key is ExpRunner's in-sweep dedup
@@ -111,9 +111,9 @@ class ResultCache
                                     KeyHashMemo *memo = nullptr);
 
     /** Deterministic encoding of an outcome — the record payload.
-     *  job_desc/memoized are per-slot runner state and excluded. The
-     *  layout is fixed: records written by earlier builds decode
-     *  under it, so a dropped field keeps its slot as a constant. */
+     *  job_desc/memoized are per-slot runner state and not encoded.
+     *  A layout change bumps the record version together with the
+     *  key schema; records of another version decode as misses. */
     static std::string encodeOutcome(const RunOutcome &out);
     /** Inverse of encodeOutcome; SPT_FATAL on malformed bytes. */
     static RunOutcome decodeOutcome(const std::string &bytes);

@@ -47,7 +47,8 @@ struct NamedConfig {
     EngineConfig engine;
 };
 
-/** The seven design variants of Table 2, in the paper's order. */
+/** UnsafeBaseline plus the seven design variants of Table 2, in the
+ *  paper's order. */
 std::vector<NamedConfig> table2Configs();
 
 } // namespace spt

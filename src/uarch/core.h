@@ -58,7 +58,6 @@ struct CoreParams {
     unsigned redirect_penalty = 2;
     unsigned load_ports = 2;  ///< loads starting a memory access/cycle
     unsigned store_ports = 1; ///< stores translating per cycle
-    bool mem_dep_speculation = true;
     /** Ideal instruction fetch (no I-cache timing); useful for
      *  micro-tests that need deterministic backend timing. */
     bool perfect_icache = false;

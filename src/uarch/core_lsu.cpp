@@ -109,10 +109,6 @@ Core::tryLoadAccess(const DynInstPtr &ld)
         if (st->seq > ld->seq || st->squashed)
             continue;
         if (!st->addr_known) {
-            if (!params_.mem_dep_speculation) {
-                stats_.inc("lsu.load_dep_stall_cycles");
-                return false;
-            }
             if (ld->wait_store_seq != 0 &&
                 st->seq == ld->wait_store_seq) {
                 // Store-set predicted dependence: wait for it.

@@ -207,9 +207,7 @@ TEST(ExpRunner, JobKeyCoversEveryDescriptorField)
     vary([](RunJob &j) { j.attack_model = AttackModel::kSpectre; });
     vary([](RunJob &j) { j.seed = 1; });
     vary([](RunJob &j) { j.max_cycles = 12345; });
-    vary([](RunJob &j) { j.trace = true; });
     vary([](RunJob &j) { j.profile = true; });
-    vary([](RunJob &j) { j.interval_stats = 1000; });
     vary([](RunJob &j) { j.faults.seed = 7; });
     vary([](RunJob &j) { j.faults.rate_ppm[0] = 100; });
     vary([](RunJob &j) { j.invariants = true; });
@@ -518,19 +516,18 @@ TEST(ResultCache, CanonicalKeyIsContentAddressed)
     jg.attack_model = golden.model;
     EXPECT_EQ(golden.name, "pchase/futuristic");
     EXPECT_EQ(ResultCache::canonicalKey(jg),
-              "resv2|prog=3e82cf8edc082265|sch=3|m=2|sh=1|bw=3|st=0"
-              "|mut=0|km=0000000000000000|am=1|seed=0|mc=500000000"
-              "|tr=0|pf=0|iv=0|inv=0|wd=0|ff=0|ca=0|fs=0|f0=0|f1=0"
-              "|f2=0|f3=0|f4=0|f5=0|ck=0");
+              "resv3|prog=3e82cf8edc082265|sch=3|m=2|sh=1|bw=3|mut=0"
+              "|am=1|seed=0|mc=500000000|pf=0|inv=0|wd=0|ff=0|fs=0"
+              "|f0=0|f1=0|f2=0|f3=0|f4=0|f5=0");
 }
 
 TEST(ResultCache, OutcomeRecordBytesArePinned)
 {
     // The record payload of the same golden case and config as the
     // pinned key above. Records already on disk, written by other
-    // builds, decode under this layout: a field dropped without
-    // writing the constant it held, or a field reordered, must fail
-    // here instead of turning every stored record into a miss.
+    // builds, decode under this layout: a field dropped or reordered
+    // without a record-version and key-schema bump must fail here
+    // instead of turning every stored record into a miss.
     const GoldenCase &golden = goldenSuite().at(0);
     RunJob job;
     job.program = &golden.program;
@@ -540,8 +537,8 @@ TEST(ResultCache, OutcomeRecordBytesArePinned)
     job.attack_model = golden.model;
     const std::string bytes = ResultCache::encodeOutcomeDeterministic(
         ExpRunner(1).run({job}).at(0));
-    EXPECT_EQ(bytes.size(), 846u);
-    EXPECT_EQ(fnv1a(bytes), 0x1a3696a7605d45c5ull);
+    EXPECT_EQ(bytes.size(), 813u);
+    EXPECT_EQ(fnv1a(bytes), 0x3690cce766b4c8a7ull);
 }
 
 TEST(ResultCache, CanonicalKeyCoversEveryDescriptorField)
@@ -591,14 +588,8 @@ TEST(ResultCache, CanonicalKeyCoversEveryDescriptorField)
     j.max_cycles = 12345;
     expect_fresh(j, "max_cycles");
     j = job;
-    j.trace = true;
-    expect_fresh(j, "trace");
-    j = job;
     j.profile = true;
     expect_fresh(j, "profile");
-    j = job;
-    j.interval_stats = 1000;
-    expect_fresh(j, "interval_stats");
     j = job;
     j.faults.seed = 7;
     expect_fresh(j, "fault seed");

@@ -193,9 +193,7 @@ TEST(ExpRunnerObservability, ArtifactsIdenticalAcrossWorkerCounts)
         job.engine.scheme = ProtectionScheme::kSpt;
         job.engine.spt.method = UntaintMethod::kBackward;
         job.engine.spt.shadow = ShadowKind::kShadowL1;
-        job.trace = true;
         job.profile = true;
-        job.interval_stats = 1000;
         grid.push_back(job);
     }
 
@@ -203,27 +201,17 @@ TEST(ExpRunnerObservability, ArtifactsIdenticalAcrossWorkerCounts)
     const std::vector<RunOutcome> b = ExpRunner(4).run(grid);
     ASSERT_EQ(a.size(), grid.size());
     for (size_t i = 0; i < grid.size(); ++i) {
-        EXPECT_FALSE(a[i].trace_text.empty()) << "slot " << i;
-        EXPECT_FALSE(a[i].trace_pipeview.empty()) << "slot " << i;
         EXPECT_FALSE(a[i].profile_json.empty()) << "slot " << i;
-        EXPECT_FALSE(a[i].intervals_json.empty()) << "slot " << i;
-        EXPECT_EQ(a[i].trace_text, b[i].trace_text) << "slot " << i;
-        EXPECT_EQ(a[i].trace_pipeview, b[i].trace_pipeview)
-            << "slot " << i;
         EXPECT_EQ(a[i].profile_json, b[i].profile_json)
-            << "slot " << i;
-        EXPECT_EQ(a[i].intervals_json, b[i].intervals_json)
             << "slot " << i;
     }
 
-    // Observability flags are part of the job key: a traced and an
-    // untraced run of the same design point may not share a slot.
-    RunJob untraced = grid[0];
-    untraced.trace = false;
-    untraced.profile = false;
-    untraced.interval_stats = 0;
+    // The profile flag is part of the job key: a profiled and a
+    // plain run of the same design point may not share a slot.
+    RunJob plain = grid[0];
+    plain.profile = false;
     EXPECT_NE(ResultCache::canonicalKey(grid[0]),
-              ResultCache::canonicalKey(untraced));
+              ResultCache::canonicalKey(plain));
 }
 
 TEST(TraceChecker, AcceptsWellFormedAndRejectsMalformed)

@@ -2,8 +2,8 @@
  * @file
  * Pipeline parameter sweeps: the core must stay architecturally
  * correct (lockstep vs the functional CPU) across widths, window
- * sizes, port counts, and feature toggles — and narrower machines
- * must never be faster.
+ * sizes and port counts — and narrower machines must never be
+ * faster.
  */
 
 #include <gtest/gtest.h>
@@ -78,23 +78,6 @@ TEST(PipelineParams, SingleLoadPort)
     const uint64_t c1 = runWithParams(p, one);
     const uint64_t c4 = runWithParams(p, four);
     EXPECT_LE(c4, c1);
-}
-
-TEST(PipelineParams, MemDepSpeculationToggle)
-{
-    // Conservative mode (loads wait for all older store addresses)
-    // must be correct and must produce zero violations.
-    FuzzConfig fc;
-    fc.mem_fraction = 0.6;
-    const Program p = fuzzProgram(909, fc);
-    SimConfig cfg;
-    cfg.core.mem_dep_speculation = false;
-    cfg.core.perfect_icache = true;
-    cfg.engine.scheme = ProtectionScheme::kUnsafeBaseline;
-    cfg.lockstep_check = true;
-    Simulator sim(p, cfg);
-    EXPECT_TRUE(sim.run().halted);
-    EXPECT_EQ(sim.stat("core.lsu.violations_detected"), 0u);
 }
 
 TEST(PipelineParams, BroadcastWidthSweepUnderSpt)

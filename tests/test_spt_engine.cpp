@@ -6,6 +6,8 @@
  * store-commit taint writes, and the taint-monotonicity invariant.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "core/engine_factory.h"
@@ -325,6 +327,43 @@ loop:
         }
     }
     EXPECT_TRUE(rig.core->halted());
+}
+
+TEST(SptEngine, InstTaintIsNullOnceRetiredOrNeverRenamed)
+{
+    // instTaint resolves a seq through the core's ROB: exactly the
+    // renamed, not yet retired instructions have a taint slot.
+    const Program p = assemble(R"(
+    li   s0, 20
+    li   s1, 0x100000
+loop:
+    ld   t0, 0(s1)
+    add  a7, a7, t0
+    addi s0, s0, -1
+    bnez s0, loop
+    halt
+)");
+    Rig rig = makeRig(p);
+    SeqNum oldest = 0, youngest = 0;
+    bool oldest_retired = false;
+    while (!oldest_retired && rig.core->cycle() < 100'000) {
+        rig.core->tick();
+        for (const DynInstPtr &d : rig.core->rob()) {
+            EXPECT_NE(rig.engine->instTaint(d->seq), nullptr)
+                << "in-flight seq " << d->seq;
+            youngest = std::max(youngest, d->seq);
+        }
+        const auto &rob = rig.core->rob();
+        if (oldest == 0 && !rob.empty())
+            oldest = rob.front()->seq;
+        oldest_retired =
+            oldest != 0 && (rob.empty() || rob.front()->seq > oldest);
+    }
+    ASSERT_TRUE(oldest_retired);
+    EXPECT_EQ(rig.engine->instTaint(oldest), nullptr);
+    // Seqs start at 1, and none past the youngest fetched yet.
+    EXPECT_EQ(rig.engine->instTaint(0), nullptr);
+    EXPECT_EQ(rig.engine->instTaint(youngest + 1000), nullptr);
 }
 
 TEST(SptEngine, IdealModeProducesNoFewerUntaints)
